@@ -9,9 +9,9 @@
 use crate::error::StorageError;
 use crate::page::{Page, PageId, PAGE_SIZE};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// Abstract page store.
@@ -62,11 +62,18 @@ impl PageStore for MemoryDisk {
     }
 }
 
+/// Size in bytes of one page slot in a [`FileDisk`] file: the 8-byte used
+/// length followed by [`PAGE_SIZE`] bytes of page content.
+const SLOT_BYTES: usize = PAGE_SIZE + 8;
+
 /// A file-backed page store. Every page occupies exactly [`PAGE_SIZE`] bytes
 /// on disk; the first 8 bytes of each slot store the used length.
+///
+/// Reads are positioned (`pread`), so concurrent readers share the file
+/// without a lock.
 #[derive(Debug)]
 pub struct FileDisk {
-    file: Mutex<File>,
+    file: File,
     num_pages: usize,
 }
 
@@ -76,7 +83,7 @@ impl FileDisk {
     pub fn create<P: AsRef<Path>>(path: P, pages: &[Page]) -> Result<Self, StorageError> {
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        let mut slot = vec![0u8; PAGE_SIZE + 8];
+        let mut slot = vec![0u8; SLOT_BYTES];
         for page in pages {
             let used = page.used_bytes();
             slot[..8].copy_from_slice(&(used as u64).to_le_bytes());
@@ -85,7 +92,7 @@ impl FileDisk {
             file.write_all(&slot)?;
         }
         file.flush()?;
-        Ok(FileDisk { file: Mutex::new(file), num_pages: pages.len() })
+        Ok(FileDisk { file, num_pages: pages.len() })
     }
 
     /// Opens an existing page file previously written by
@@ -93,13 +100,12 @@ impl FileDisk {
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StorageError> {
         let file = OpenOptions::new().read(true).open(path)?;
         let len = file.metadata()?.len() as usize;
-        let slot = PAGE_SIZE + 8;
-        if !len.is_multiple_of(slot) {
+        if !len.is_multiple_of(SLOT_BYTES) {
             return Err(StorageError::Io(format!(
-                "page file length {len} is not a multiple of the slot size {slot}"
+                "page file length {len} is not a multiple of the slot size {SLOT_BYTES}"
             )));
         }
-        Ok(FileDisk { file: Mutex::new(file), num_pages: len / slot })
+        Ok(FileDisk { file, num_pages: len / SLOT_BYTES })
     }
 }
 
@@ -112,21 +118,18 @@ impl PageStore for FileDisk {
         if page.index() >= self.num_pages {
             return Err(StorageError::PageOutOfBounds { page, num_pages: self.num_pages });
         }
-        let mut file = self.file.lock();
-        let slot = (PAGE_SIZE + 8) as u64;
-        file.seek(SeekFrom::Start(page.index() as u64 * slot))?;
-        let mut header = [0u8; 8];
-        file.read_exact(&mut header)?;
-        let used = u64::from_le_bytes(header) as usize;
+        let mut slot = vec![0u8; SLOT_BYTES];
+        self.file.read_exact_at(&mut slot, (page.index() * SLOT_BYTES) as u64)?;
+        let used = u64::from_le_bytes(slot[..8].try_into().expect("eight bytes")) as usize;
         if used > PAGE_SIZE {
             return Err(StorageError::CorruptPage {
                 page,
                 message: format!("recorded length {used} exceeds the page size"),
             });
         }
-        let mut buf = vec![0u8; used];
-        file.read_exact(&mut buf)?;
-        Page::from_bytes(Bytes::from(buf))
+        slot.truncate(8 + used);
+        slot.drain(..8);
+        Page::from_bytes(Bytes::from(slot))
     }
 }
 
@@ -196,6 +199,24 @@ mod tests {
         let got = reopened.read_page(PageId::new(1)).unwrap();
         assert_eq!(got.records(PageId::new(1)).unwrap().len(), 1);
 
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn file_disk_rejects_a_slot_longer_than_a_page() {
+        let dir = std::env::temp_dir().join(format!("rnn_storage_long_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("long.bin");
+        let mut slots = vec![0u8; 2 * SLOT_BYTES];
+        slots[SLOT_BYTES..SLOT_BYTES + 8].copy_from_slice(&(PAGE_SIZE as u64 + 1).to_le_bytes());
+        std::fs::write(&path, &slots).unwrap();
+        let disk = FileDisk::open(&path).unwrap();
+        assert_eq!(disk.read_page(PageId(0)).unwrap().used_bytes(), 0);
+        assert!(matches!(
+            disk.read_page(PageId(1)),
+            Err(StorageError::CorruptPage { page: PageId(1), .. })
+        ));
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
     }

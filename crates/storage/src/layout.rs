@@ -56,7 +56,7 @@ impl PageLayout {
 
         let mut pages: Vec<Page> = Vec::new();
         let mut entries_index: Vec<NodeIndexEntry> =
-            vec![NodeIndexEntry { first_page: PageId(0), span: 0 }; graph.num_nodes()];
+            vec![NodeIndexEntry { first_page: PageId(0), span: 0, offset: 0 }; graph.num_nodes()];
         let mut current = PageBuilder::new();
         let mut scratch: Vec<PageEntry> = Vec::new();
 
@@ -70,12 +70,12 @@ impl PageLayout {
                 if !current.fits(scratch.len()) {
                     pages.push(std::mem::replace(&mut current, PageBuilder::new()).build());
                 }
-                let page_id = PageId::new(pages.len());
-                current.push_record(node, &scratch)?;
-                entries_index[node.index()] = NodeIndexEntry { first_page: page_id, span: 1 };
+                let first_page = PageId::new(pages.len());
+                let offset = current.push_record(node, &scratch)?;
+                entries_index[node.index()] = NodeIndexEntry { first_page, span: 1, offset };
             } else {
                 // Hub node: flush the current page and emit dedicated,
-                // consecutive continuation pages.
+                // consecutive continuation pages, each record at offset 0.
                 if !current.is_empty() {
                     pages.push(std::mem::replace(&mut current, PageBuilder::new()).build());
                 }
@@ -87,7 +87,7 @@ impl PageLayout {
                     pages.push(b.build());
                     span += 1;
                 }
-                entries_index[node.index()] = NodeIndexEntry { first_page, span };
+                entries_index[node.index()] = NodeIndexEntry { first_page, span, offset: 0 };
             }
         }
         if !current.is_empty() {
@@ -181,6 +181,37 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Decodes `v`'s adjacency list through the node index's page and
+    /// offset pointers.
+    fn decode(layout: &PageLayout, v: NodeId) -> Result<Vec<PageEntry>, StorageError> {
+        let mut out = Vec::new();
+        for (p, offset) in layout.index.entry(v).records() {
+            out.extend(layout.pages[p.index()].record_at(p, offset, v)?);
+        }
+        Ok(out)
+    }
+
+    /// Checks that the offset decode of every node equals both the graph's
+    /// adjacency list and the whole-page decode of [`Page::records`].
+    fn assert_offset_decode_is_exact(g: &Graph, layout: &PageLayout) {
+        let mut by_page: Vec<Vec<PageEntry>> = vec![Vec::new(); g.num_nodes()];
+        for (i, page) in layout.pages.iter().enumerate() {
+            for record in page.records(PageId::new(i)).unwrap() {
+                by_page[record.node.index()].extend(record.entries);
+            }
+        }
+        for v in g.node_ids() {
+            let decoded = decode(layout, v).unwrap();
+            let expected: Vec<PageEntry> = g
+                .neighbors_vec(v)
+                .into_iter()
+                .map(|n| PageEntry { neighbor: n.node, edge: n.edge, weight: n.weight })
+                .collect();
+            assert_eq!(decoded, expected, "node {v} against the graph");
+            assert_eq!(decoded, by_page[v.index()], "node {v} against the page decode");
+        }
+    }
+
     #[test]
     fn every_node_has_an_index_entry_and_its_record_is_complete() {
         let g = grid_graph(8);
@@ -190,20 +221,7 @@ mod tests {
             let layout = PageLayout::build(&g, strategy).unwrap();
             assert_eq!(layout.index.num_nodes(), g.num_nodes());
             assert!(layout.num_pages() >= 1);
-            for v in g.node_ids() {
-                let entry = layout.index.entry(v);
-                let mut decoded = Vec::new();
-                for p in entry.pages() {
-                    layout.pages[p.index()].entries_of(p, v, &mut decoded).unwrap();
-                }
-                let expected = g.neighbors_vec(v);
-                assert_eq!(decoded.len(), expected.len(), "{strategy:?} node {v}");
-                for (d, e) in decoded.iter().zip(expected.iter()) {
-                    assert_eq!(d.neighbor, e.node);
-                    assert_eq!(d.edge, e.edge);
-                    assert_eq!(d.weight, e.weight);
-                }
-            }
+            assert_offset_decode_is_exact(&g, &layout);
         }
     }
 
@@ -238,11 +256,23 @@ mod tests {
         let layout = PageLayout::build(&g, LayoutStrategy::NodeOrder).unwrap();
         let hub = layout.index.entry(NodeId::new(0));
         assert_eq!(hub.span, 3);
-        let mut decoded = Vec::new();
-        for p in hub.pages() {
-            layout.pages[p.index()].entries_of(p, NodeId::new(0), &mut decoded).unwrap();
-        }
-        assert_eq!(decoded.len(), leaves);
+        assert_eq!(hub.offset, 0, "a multi-page record starts its own page");
+        assert_eq!(decode(&layout, NodeId::new(0)).unwrap().len(), leaves);
+        assert_offset_decode_is_exact(&g, &layout);
+    }
+
+    #[test]
+    fn offset_decode_is_exact_on_a_seeded_road_network() {
+        use rnn_datagen::{spatial_road_network, SpatialConfig};
+        let g = spatial_road_network(&SpatialConfig {
+            num_nodes: 3_000,
+            seed: 3,
+            ..Default::default()
+        })
+        .graph;
+        let layout = PageLayout::build(&g, LayoutStrategy::BfsLocality).unwrap();
+        assert!(layout.num_pages() > 10, "records share pages at many offsets");
+        assert_offset_decode_is_exact(&g, &layout);
     }
 
     #[test]
@@ -278,13 +308,7 @@ mod tests {
         b.add_edge(0, 1, 1.0).unwrap();
         let g = b.build().unwrap();
         let layout = PageLayout::build(&g, LayoutStrategy::BfsLocality).unwrap();
-        let entry = layout.index.entry(NodeId::new(2));
-        let mut decoded = Vec::new();
-        let mut found = false;
-        for p in entry.pages() {
-            found |= layout.pages[p.index()].entries_of(p, NodeId::new(2), &mut decoded).unwrap();
-        }
-        assert!(found, "isolated node still has an (empty) record");
-        assert!(decoded.is_empty());
+        assert!(decode(&layout, NodeId::new(2)).unwrap().is_empty(), "an empty record");
+        assert_offset_decode_is_exact(&g, &layout);
     }
 }

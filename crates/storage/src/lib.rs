@@ -28,7 +28,8 @@
 //! * [`policy`] — pluggable page-eviction policies ([`EvictionPolicy`]):
 //!   exact LRU (default, the paper's buffer), Clock (second-chance) and 2Q
 //!   (scan-resistant).
-//! * [`node_index`] — the node-id index ([`NodeIndex`]).
+//! * [`node_index`] — the node-id index ([`NodeIndex`]): page plus byte
+//!   offset of every node's record, so a fetch decodes one record.
 //! * [`paged_graph`] — [`PagedGraph`], which ties everything together and
 //!   implements [`rnn_graph::Topology`], so every query algorithm of
 //!   `rnn-core` runs unchanged on top of it.

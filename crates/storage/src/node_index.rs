@@ -2,8 +2,12 @@
 //!
 //! The paper builds "an index on node id; for each node id in the index,
 //! there is a pointer to the corresponding list and the data point that it
-//! contains (if any)". [`NodeIndex`] is that structure: it maps every node to
-//! the disk page(s) holding its adjacency record. (Data-point membership is
+//! contains (if any)". [`NodeIndex`] is that structure. Its pointer is the
+//! page holding the node's adjacency record plus the record's byte offset
+//! within that page, so a fetch decodes exactly one record instead of
+//! scanning the page for it (see [`crate::Page::record_at`]). A record too
+//! large for one page continues on the dedicated pages that follow the
+//! first; the entry's `span` counts them. (Data-point membership is
 //! kept in the separate [`rnn_graph::NodePointSet`] /
 //! [`rnn_graph::EdgePointSet`] structures because several data sets — e.g. a
 //! bichromatic pair, or different ad hoc predicates — can coexist over one
@@ -17,7 +21,7 @@ use crate::page::PageId;
 use rnn_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// Location of one node's adjacency record(s).
+/// Location of one node's adjacency record(s): 8 bytes per node.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeIndexEntry {
     /// First page holding (part of) the node's adjacency list.
@@ -25,6 +29,10 @@ pub struct NodeIndexEntry {
     /// Number of consecutive pages the list spans (1 for all but very
     /// high-degree hub nodes).
     pub span: u16,
+    /// Byte offset of the node's record within `first_page`. The
+    /// continuation records of a multi-page list start their pages, at
+    /// offset 0.
+    pub offset: u16,
 }
 
 impl NodeIndexEntry {
@@ -32,6 +40,12 @@ impl NodeIndexEntry {
     pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
         let first = self.first_page.index();
         (first..first + self.span as usize).map(PageId::new)
+    }
+
+    /// Iterates over the pages holding this node's record, each with the
+    /// byte offset of the record within it.
+    pub fn records(&self) -> impl Iterator<Item = (PageId, usize)> + '_ {
+        self.pages().enumerate().map(|(i, p)| (p, if i == 0 { self.offset as usize } else { 0 }))
     }
 }
 
@@ -76,9 +90,9 @@ mod tests {
     #[test]
     fn entry_lookup_and_iteration() {
         let idx = NodeIndex::new(vec![
-            NodeIndexEntry { first_page: PageId(0), span: 1 },
-            NodeIndexEntry { first_page: PageId(0), span: 1 },
-            NodeIndexEntry { first_page: PageId(1), span: 2 },
+            NodeIndexEntry { first_page: PageId(0), span: 1, offset: 0 },
+            NodeIndexEntry { first_page: PageId(0), span: 1, offset: 24 },
+            NodeIndexEntry { first_page: PageId(1), span: 2, offset: 0 },
         ]);
         assert_eq!(idx.num_nodes(), 3);
         assert_eq!(idx.entry(NodeId::new(0)).first_page, PageId(0));
@@ -90,7 +104,22 @@ mod tests {
 
     #[test]
     fn single_span_pages_iterator_yields_one_page() {
-        let e = NodeIndexEntry { first_page: PageId(7), span: 1 };
+        let e = NodeIndexEntry { first_page: PageId(7), span: 1, offset: 40 };
         assert_eq!(e.pages().collect::<Vec<_>>(), vec![PageId(7)]);
+        assert_eq!(e.records().collect::<Vec<_>>(), vec![(PageId(7), 40)]);
+    }
+
+    #[test]
+    fn continuation_records_start_their_pages() {
+        let e = NodeIndexEntry { first_page: PageId(3), span: 3, offset: 0 };
+        assert_eq!(
+            e.records().collect::<Vec<_>>(),
+            vec![(PageId(3), 0), (PageId(4), 0), (PageId(5), 0)]
+        );
+    }
+
+    #[test]
+    fn an_entry_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<NodeIndexEntry>(), 8);
     }
 }

@@ -13,15 +13,23 @@
 //! index records every page a node's list spans, so a lookup accesses all of
 //! them (this mirrors what a real adjacency file would do and keeps the I/O
 //! accounting honest for hub nodes).
+//!
+//! The node index also stores the byte offset of each record, so the hot
+//! path of every paged query, [`Page::record_at`], decodes one record
+//! straight from the page bytes without looking at its neighbors on the
+//! page. [`Page::records`] decodes a whole page (for tests and tools).
 
 use crate::error::StorageError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use rnn_graph::{EdgeId, NodeId, Weight};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The page size in bytes, matching the experimental setup of the paper.
 pub const PAGE_SIZE: usize = 4096;
+
+// The node index stores record offsets within a page as `u16`.
+const _: () = assert!(PAGE_SIZE <= 1 << 16);
 
 /// Size in bytes of one record header (`node`, `count`).
 pub const RECORD_HEADER_BYTES: usize = 8;
@@ -125,79 +133,92 @@ impl Page {
 
     /// Decodes all records stored in the page.
     pub fn records(&self, page: PageId) -> Result<Vec<PageRecord>, StorageError> {
-        let mut buf = self.bytes.clone();
         let mut records = Vec::new();
-        while buf.remaining() >= RECORD_HEADER_BYTES {
-            let node = NodeId(buf.get_u32_le());
-            let count = buf.get_u32_le() as usize;
-            if buf.remaining() < count * ENTRY_BYTES {
-                return Err(StorageError::CorruptPage {
-                    page,
-                    message: format!(
-                        "record of node {node} declares {count} entries but only {} bytes remain",
-                        buf.remaining()
-                    ),
-                });
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let neighbor = NodeId(buf.get_u32_le());
-                let edge = EdgeId(buf.get_u32_le());
-                let weight = Weight::new(buf.get_f64_le());
-                entries.push(PageEntry { neighbor, edge, weight });
-            }
-            records.push(PageRecord { node, entries });
+        let mut offset = 0;
+        while offset + RECORD_HEADER_BYTES <= self.bytes.len() {
+            let (node, body) = self.record_body(page, offset)?;
+            records.push(PageRecord { node, entries: decode_entries(body).collect() });
+            offset += RECORD_HEADER_BYTES + body.len();
         }
-        if buf.has_remaining() {
+        if offset < self.bytes.len() {
             return Err(StorageError::CorruptPage {
                 page,
-                message: format!("{} trailing bytes after last record", buf.remaining()),
+                message: format!("{} trailing bytes after last record", self.bytes.len() - offset),
             });
         }
         Ok(records)
     }
 
-    /// Decodes only the record(s) of `node` stored in this page, appending
-    /// the entries to `out`. Returns `true` if the node was found.
+    /// Decodes the record of `node` that starts `offset` bytes into the
+    /// page, as recorded in the node index.
     ///
-    /// This is the hot path of [`crate::PagedGraph`]: it skips over other
-    /// nodes' entries without materializing them.
-    pub fn entries_of(
+    /// This is the hot path of [`crate::PagedGraph`]: it reads one header,
+    /// checks it, and decodes the entries from the page bytes without
+    /// touching the other records on the page. A header past the end of the
+    /// page, a record of another node, or entries running past the page's
+    /// used bytes yield [`StorageError::CorruptPage`], never a wrong
+    /// adjacency list.
+    pub fn record_at(
         &self,
         page: PageId,
+        offset: usize,
         node: NodeId,
-        out: &mut Vec<PageEntry>,
-    ) -> Result<bool, StorageError> {
-        let mut buf = self.bytes.clone();
-        let mut found = false;
-        while buf.remaining() >= RECORD_HEADER_BYTES {
-            let record_node = NodeId(buf.get_u32_le());
-            let count = buf.get_u32_le() as usize;
-            let record_bytes = count * ENTRY_BYTES;
-            if buf.remaining() < record_bytes {
-                return Err(StorageError::CorruptPage {
-                    page,
-                    message: format!(
-                        "record of node {record_node} declares {count} entries but only {} bytes remain",
-                        buf.remaining()
-                    ),
-                });
-            }
-            if record_node == node {
-                found = true;
-                out.reserve(count);
-                for _ in 0..count {
-                    let neighbor = NodeId(buf.get_u32_le());
-                    let edge = EdgeId(buf.get_u32_le());
-                    let weight = Weight::new(buf.get_f64_le());
-                    out.push(PageEntry { neighbor, edge, weight });
-                }
-            } else {
-                buf.advance(record_bytes);
-            }
+    ) -> Result<impl ExactSizeIterator<Item = PageEntry> + '_, StorageError> {
+        let (record_node, body) = self.record_body(page, offset)?;
+        if record_node != node {
+            return Err(StorageError::CorruptPage {
+                page,
+                message: format!(
+                    "record at offset {offset} belongs to node {record_node}, not node {node}"
+                ),
+            });
         }
-        Ok(found)
+        Ok(decode_entries(body))
     }
+
+    /// Splits the record starting at byte `offset` into its node and the
+    /// encoded entries, checking that both lie within the used bytes.
+    fn record_body(&self, page: PageId, offset: usize) -> Result<(NodeId, &[u8]), StorageError> {
+        let bytes: &[u8] = &self.bytes;
+        let header_end = offset.saturating_add(RECORD_HEADER_BYTES);
+        let Some(header) = bytes.get(offset..header_end) else {
+            return Err(StorageError::CorruptPage {
+                page,
+                message: format!(
+                    "record offset {offset} leaves no room for a header in {} used bytes",
+                    bytes.len()
+                ),
+            });
+        };
+        let node = NodeId(u32_le(&header[..4]));
+        let count = u32_le(&header[4..]) as usize;
+        // `count` is read from the page, so its arithmetic must not overflow.
+        let end = count.checked_mul(ENTRY_BYTES).and_then(|n| n.checked_add(header_end));
+        match end.and_then(|end| bytes.get(header_end..end)) {
+            Some(body) => Ok((node, body)),
+            None => Err(StorageError::CorruptPage {
+                page,
+                message: format!(
+                    "record of node {node} declares {count} entries but only {} bytes remain",
+                    bytes.len() - header_end
+                ),
+            }),
+        }
+    }
+}
+
+fn u32_le(raw: &[u8]) -> u32 {
+    u32::from_le_bytes(raw.try_into().expect("four bytes"))
+}
+
+/// Decodes the entries of one record from its encoded bytes, whose length
+/// [`Page::record_body`] has already checked.
+fn decode_entries(body: &[u8]) -> impl ExactSizeIterator<Item = PageEntry> + '_ {
+    body.chunks_exact(ENTRY_BYTES).map(|raw| PageEntry {
+        neighbor: NodeId(u32_le(&raw[..4])),
+        edge: EdgeId(u32_le(&raw[4..8])),
+        weight: Weight::new(f64::from_le_bytes(raw[8..].try_into().expect("eight bytes"))),
+    })
 }
 
 /// Mutable builder filling one page with adjacency records.
@@ -228,15 +249,22 @@ impl PageBuilder {
         PageRecord::encoded_size(degree) <= self.free_bytes()
     }
 
-    /// Appends the record of `node` with the given entries.
+    /// Appends the record of `node` with the given entries and returns the
+    /// byte offset at which the record starts (the node index's pointer).
     ///
     /// Callers must check [`PageBuilder::fits`] first; records never straddle
     /// a page boundary.
-    pub fn push_record(&mut self, node: NodeId, entries: &[PageEntry]) -> Result<(), StorageError> {
+    pub fn push_record(
+        &mut self,
+        node: NodeId,
+        entries: &[PageEntry],
+    ) -> Result<u16, StorageError> {
         let size = PageRecord::encoded_size(entries.len());
         if size > self.free_bytes() {
             return Err(StorageError::RecordTooLarge { node: node.0, size });
         }
+        // A record that fits starts inside the page, and PAGE_SIZE fits u16.
+        let offset = self.bytes.len() as u16;
         self.bytes.put_u32_le(node.0);
         self.bytes.put_u32_le(entries.len() as u32);
         for e in entries {
@@ -244,7 +272,7 @@ impl PageBuilder {
             self.bytes.put_u32_le(e.edge.0);
             self.bytes.put_f64_le(e.weight.value());
         }
-        Ok(())
+        Ok(offset)
     }
 
     /// Finalizes the page.
@@ -287,19 +315,43 @@ mod tests {
     }
 
     #[test]
-    fn entries_of_extracts_only_requested_node() {
+    fn record_at_decodes_only_the_addressed_record() {
         let mut b = PageBuilder::new();
-        b.push_record(NodeId(7), &[entry(8, 3, 1.0)]).unwrap();
-        b.push_record(NodeId(9), &[entry(7, 4, 2.0), entry(10, 5, 3.0)]).unwrap();
+        assert_eq!(b.push_record(NodeId(7), &[entry(8, 3, 1.0)]).unwrap(), 0);
+        let second = b.push_record(NodeId(9), &[entry(7, 4, 2.0), entry(10, 5, 3.0)]).unwrap();
+        assert_eq!(second, 8 + 16);
+        let empty = b.push_record(NodeId(11), &[]).unwrap();
         let page = b.build();
 
-        let mut out = Vec::new();
-        assert!(page.entries_of(PageId(0), NodeId(9), &mut out).unwrap());
-        assert_eq!(out, vec![entry(7, 4, 2.0), entry(10, 5, 3.0)]);
+        let got: Vec<_> = page.record_at(PageId(0), second as usize, NodeId(9)).unwrap().collect();
+        assert_eq!(got, vec![entry(7, 4, 2.0), entry(10, 5, 3.0)]);
+        let got: Vec<_> = page.record_at(PageId(0), 0, NodeId(7)).unwrap().collect();
+        assert_eq!(got, vec![entry(8, 3, 1.0)]);
+        assert_eq!(page.record_at(PageId(0), empty as usize, NodeId(11)).unwrap().len(), 0);
+    }
 
-        out.clear();
-        assert!(!page.entries_of(PageId(0), NodeId(11), &mut out).unwrap());
-        assert!(out.is_empty());
+    #[test]
+    fn record_at_rejects_a_wrong_or_out_of_range_offset() {
+        let mut b = PageBuilder::new();
+        b.push_record(NodeId(7), &[entry(8, 3, 1.0)]).unwrap();
+        let second = b.push_record(NodeId(9), &[entry(7, 4, 2.0)]).unwrap() as usize;
+        let page = b.build();
+        let corrupt = |offset: usize, node: u32| {
+            matches!(
+                page.record_at(PageId(4), offset, NodeId(node)),
+                Err(StorageError::CorruptPage { page: PageId(4), .. })
+            )
+        };
+        // another node's record
+        assert!(corrupt(0, 9));
+        assert!(corrupt(second, 7));
+        // a node with no record on the page at all
+        assert!(corrupt(0, 11));
+        // past the end of the used bytes, or with no room for a header
+        assert!(corrupt(page.used_bytes(), 9));
+        assert!(corrupt(page.used_bytes() - 4, 9));
+        assert!(corrupt(PAGE_SIZE, 9));
+        assert!(corrupt(usize::MAX, 9));
     }
 
     #[test]
@@ -326,8 +378,10 @@ mod tests {
             page.records(PageId(3)),
             Err(StorageError::CorruptPage { page: PageId(3), .. })
         ));
-        let mut out = Vec::new();
-        assert!(page.entries_of(PageId(3), NodeId(1), &mut out).is_err());
+        assert!(matches!(
+            page.record_at(PageId(3), 0, NodeId(1)),
+            Err(StorageError::CorruptPage { page: PageId(3), .. })
+        ));
 
         // trailing garbage
         let mut raw = BytesMut::new();

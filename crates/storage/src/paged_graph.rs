@@ -6,6 +6,13 @@
 //! the in-memory [`rnn_graph::Graph`] is that every adjacency fetch goes
 //! through the buffer and is accounted for in [`IoStats`]. This is the
 //! component the paper's experiments measure.
+//!
+//! A fetch looks the node up in the [`NodeIndex`], which points at its
+//! record by page and byte offset, accesses that page (or the pages of a
+//! hub's multi-page span) through the buffer, and decodes the one record
+//! with [`crate::Page::record_at`]. The buffer sees exactly one access per
+//! page of the record, so the paper's accesses, faults and evictions do not
+//! depend on how the record is found within its page.
 
 use crate::buffer::{BufferPool, BufferPoolConfig, BufferPoolStats};
 use crate::disk::{MemoryDisk, PageStore};
@@ -20,16 +27,8 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 thread_local! {
-    /// Scratch buffer reused across adjacency fetches to avoid per-call
-    /// allocation (the decoded entries are copied into `Neighbor` values
-    /// before the closure is invoked). Thread-local so the serving path
-    /// shares no mutable state between worker threads — the old shared
-    /// `Mutex<Vec<_>>` was a lock on every fetch of every worker.
-    static FETCH_SCRATCH: RefCell<Vec<PageEntry>> = const { RefCell::new(Vec::new()) };
-
-    /// Scratch for translating prefetch-hint nodes to page ids. Separate
-    /// from `FETCH_SCRATCH` because hints arrive between fetches on the
-    /// same thread.
+    /// Scratch for translating prefetch-hint nodes to page ids, reused
+    /// across hints to avoid per-call allocation.
     static HINT_SCRATCH: RefCell<Vec<PageId>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -170,66 +169,39 @@ impl<S: PageStore> PagedGraph<S> {
         &self.index
     }
 
-    /// Fetches the adjacency list of `node`, going through the buffer.
+    /// Fetches the adjacency list of `node`, going through the buffer, and
+    /// decodes it from the record the node index points at.
+    ///
+    /// Every record is checked before the first entry reaches `visit`, so a
+    /// corrupt page yields an error and no partial adjacency list. The
+    /// fetched pages are held while `visit` runs; visitors may recursively
+    /// fetch other adjacency lists (e.g. nested verification expansions).
     fn fetch_neighbors(
         &self,
         node: NodeId,
         visit: &mut dyn FnMut(Neighbor),
     ) -> Result<(), StorageError> {
         let entry = self.index.entry(node);
-        // Take the thread-local scratch buffer so it is *not* borrowed while
-        // the visitor runs: visitors may recursively fetch other adjacency
-        // lists (e.g. nested verification expansions), which then just use a
-        // fresh buffer.
-        let mut scratch = FETCH_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-        scratch.clear();
-        let mut result = Ok(());
-        if entry.span > 1 {
-            // A multi-page record (high-degree hub node): fetch the whole
-            // span in one batched call — one lock round per owning shard
-            // instead of one per page, with identical accounting.
-            let ids: Vec<PageId> = entry.pages().collect();
-            match self.buffer.fetch_many(&ids) {
-                Ok(pages) => {
-                    for (page_id, page) in ids.into_iter().zip(pages) {
-                        if let Err(e) = page.entries_of(page_id, node, &mut scratch) {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => result = Err(e),
-            }
-        } else {
-            for page_id in entry.pages() {
-                match self.buffer.fetch(page_id) {
-                    Ok(page) => {
-                        if let Err(e) = page.entries_of(page_id, node, &mut scratch) {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            }
+        let as_neighbor =
+            |e: PageEntry| Neighbor { node: e.neighbor, weight: e.weight, edge: e.edge };
+        if entry.span == 1 {
+            let page = self.buffer.fetch(entry.first_page)?;
+            page.record_at(entry.first_page, entry.offset as usize, node)?
+                .for_each(|e| visit(as_neighbor(e)));
+            return Ok(());
         }
-        if result.is_ok() {
-            for e in scratch.iter() {
-                visit(Neighbor { node: e.neighbor, weight: e.weight, edge: e.edge });
-            }
-        }
-        // Return the (possibly grown) scratch buffer for reuse on this
-        // thread.
-        FETCH_SCRATCH.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if slot.capacity() < scratch.capacity() {
-                *slot = scratch;
-            }
-        });
-        result
+        // A multi-page record (high-degree hub node): fetch the whole span
+        // in one batched call — one lock round per owning shard instead of
+        // one per page, with identical accounting.
+        let ids: Vec<PageId> = entry.pages().collect();
+        let pages = self.buffer.fetch_many(&ids)?;
+        let records = entry
+            .records()
+            .zip(&pages)
+            .map(|((page_id, offset), page)| page.record_at(page_id, offset, node))
+            .collect::<Result<Vec<_>, _>>()?;
+        records.into_iter().flatten().for_each(|e| visit(as_neighbor(e)));
+        Ok(())
     }
 }
 
@@ -622,5 +594,31 @@ mod tests {
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn a_misdirected_index_entry_is_an_error_not_a_wrong_adjacency() {
+        use crate::node_index::NodeIndexEntry;
+        let g = grid_graph(6);
+        let layout = PageLayout::build(&g, LayoutStrategy::NodeOrder).unwrap();
+        let correct: Vec<NodeIndexEntry> = layout.index.iter().map(|(_, e)| e).collect();
+        assert_eq!((correct[0].first_page, correct[1].first_page), (PageId(0), PageId(0)));
+        let page_end = layout.pages[0].used_bytes() as u16;
+        // Node 0 pointed at node 1's record on the same page, then past the
+        // end of the page's used bytes.
+        for offset in [correct[1].offset, page_end] {
+            let mut entries = correct.clone();
+            entries[0].offset = offset;
+            let pool = BufferPool::new(MemoryDisk::new(layout.pages.clone()), 4, IoCounters::new());
+            let pg = PagedGraph::from_parts(pool, NodeIndex::new(entries), g.num_nodes());
+
+            let mut seen = 0;
+            let err = pg.fetch_neighbors(NodeId::new(0), &mut |_| seen += 1).unwrap_err();
+            assert!(matches!(err, StorageError::CorruptPage { page: PageId(0), .. }), "{err}");
+            assert_eq!(seen, 0, "offset {offset}: no entry reaches the visitor");
+            // The access itself is counted, exactly as a correct one.
+            assert_eq!(pg.io_stats().accesses, 1);
+            assert_eq!(pg.neighbors_vec(NodeId::new(1)), g.neighbors_vec(NodeId::new(1)));
+        }
     }
 }

@@ -116,3 +116,65 @@ fn file_backed_store_matches_memory_store() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
 }
+
+/// A grid with one hub joined to every third cell: the hub's adjacency record
+/// is too large for one page, so fetching it reads a multi-page span.
+fn grid_with_hub(side: usize) -> rnn_graph::Graph {
+    let hub = side * side;
+    let mut b = rnn_graph::GraphBuilder::new(hub + 1);
+    for r in 0..side {
+        for c in 0..side {
+            let v = r * side + c;
+            let w = 1.0 + ((v * 7) % 5) as f64 * 0.1;
+            if c + 1 < side {
+                b.add_edge(v, v + 1, w).unwrap();
+            }
+            if r + 1 < side {
+                b.add_edge(v, v + side, w).unwrap();
+            }
+            if v.is_multiple_of(3) {
+                b.add_edge(v, hub, 4.0 + (v % 11) as f64 * 0.25).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The paper's cost is counted in page accesses and faults, so the fetch
+/// path of `PagedGraph` must leave them exactly as they are. The expected
+/// counts below were recorded when every adjacency fetch still scanned its
+/// whole page for the record; a later change to the hit path that moves any
+/// of them changes the paper's accounting and must fail here.
+#[test]
+fn paged_accounting_of_an_eager_lazy_stream_is_unchanged() {
+    use rnn_datagen::{
+        place_points_on_nodes, sample_node_queries, spatial_road_network, SpatialConfig,
+    };
+    use rnn_storage::IoStats;
+
+    let road =
+        spatial_road_network(&SpatialConfig { num_nodes: 4_000, seed: 5, ..Default::default() })
+            .graph;
+    let hubbed = grid_with_hub(30);
+    for (name, graph, pool_pages, expected) in [
+        ("road", &road, 8, IoStats { accesses: 60847, faults: 6429, evictions: 6421 }),
+        ("grid+hub", &hubbed, 4, IoStats { accesses: 91148, faults: 33230, evictions: 33226 }),
+    ] {
+        let points = place_points_on_nodes(graph, 0.02, 7);
+        let queries = sample_node_queries(&points, 40, 9);
+        let paged = PagedGraph::build_with(
+            graph,
+            LayoutStrategy::BfsLocality,
+            pool_pages,
+            IoCounters::new(),
+        )
+        .expect("paged graph");
+        for (i, &q) in queries.iter().enumerate() {
+            let algo = [Algorithm::Eager, Algorithm::Lazy][i % 2];
+            let out = run_rknn(algo, &paged, &points, Precomputed::none(), q, 1);
+            let reference = naive::naive_rknn(graph, &points, q, 1);
+            assert_eq!(out.points, reference.points, "{name}: {algo} from {q}");
+        }
+        assert_eq!(paged.io_stats(), expected, "{name}");
+    }
+}
