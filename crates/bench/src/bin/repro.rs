@@ -9,7 +9,7 @@
 //!
 //! EXPERIMENT   one or more of: table1 table2 fig15 fig16 fig17 fig18 fig19
 //!              fig20a fig20b fig21 fig22a fig22b throughput paged-scaling
-//!              paging index label-build serving obs-overhead slo all
+//!              index label-build serving obs-overhead slo all
 //!              (default: all)
 //! --full       use the paper's graph cardinalities instead of the quick,
 //!              laptop-friendly sizes

@@ -1,4 +1,4 @@
-//! Measurement utilities shared by the experiments and the criterion benches.
+//! Measurement utilities shared by the experiments.
 
 use rnn_core::cost::{AverageCost, CostModel, QueryCost};
 use rnn_core::materialize::MaterializedKnn;

@@ -6,12 +6,10 @@
 //! disk-page backed graph of `rnn-storage`, and returns a [`report::Report`]
 //! whose rows mirror the rows/series of the original table or figure.
 //!
-//! Two entry points consume those functions:
-//!
-//! * the `repro` binary (`cargo run -p rnn-bench --release --bin repro`),
-//!   which prints paper-style tables; and
-//! * the criterion benches (`cargo bench -p rnn-bench`), one per table or
-//!   figure, which time the same workloads at reduced scale.
+//! The `repro` binary (`cargo run -p rnn-bench --release --bin repro`)
+//! consumes those functions: it prints paper-style tables and, with
+//! `--json DIR`, writes each report as a machine-readable `BENCH_*.json`
+//! artifact that `repro check` compares against a committed baseline.
 //!
 //! The default [`Scale::Quick`] sizes keep the whole suite at laptop scale
 //! (tens of thousands of nodes); [`Scale::Full`] uses the paper's

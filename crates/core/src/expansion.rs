@@ -32,10 +32,6 @@ enum Label {
 pub struct ExpansionBuffers {
     heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
     labels: FastMap<NodeId, Label>,
-    /// Scratch for frontier prefetch hints ([`Topology::prefetch_hint`]).
-    /// Only ever touched when the topology asks for hints, so the in-memory
-    /// path never pays for it.
-    hints: Vec<NodeId>,
 }
 
 impl ExpansionBuffers {
@@ -48,7 +44,6 @@ impl ExpansionBuffers {
     pub fn clear(&mut self) {
         self.heap.clear();
         self.labels.clear();
-        self.hints.clear();
     }
 }
 
@@ -64,10 +59,6 @@ pub struct NetworkExpansion<'a, T: Topology + ?Sized> {
     bufs: ExpansionBuffers,
     settled_count: u64,
     pushes: u64,
-    /// Cached [`Topology::wants_prefetch_hints`], checked once per expansion
-    /// per the trait contract: when `false` (every in-memory topology), the
-    /// hint plumbing is a single branch and no collection happens.
-    wants_hints: bool,
 }
 
 impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
@@ -93,20 +84,9 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
         I: IntoIterator<Item = (NodeId, Weight)>,
     {
         bufs.clear();
-        let wants_hints = topo.wants_prefetch_hints();
-        let mut exp = NetworkExpansion { topo, bufs, settled_count: 0, pushes: 0, wants_hints };
+        let mut exp = NetworkExpansion { topo, bufs, settled_count: 0, pushes: 0 };
         for (node, dist) in sources {
             exp.relax(node, dist);
-        }
-        if exp.wants_hints && !exp.bufs.labels.is_empty() {
-            // The sources are the first adjacency lists the expansion will
-            // fetch — hint them right away. (At this point the label map
-            // holds exactly the tentative sources.)
-            let mut hints = std::mem::take(&mut exp.bufs.hints);
-            hints.clear();
-            hints.extend(exp.bufs.labels.keys().copied());
-            exp.topo.prefetch_hint(&hints);
-            exp.bufs.hints = hints;
         }
         exp
     }
@@ -162,10 +142,6 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
     /// Relaxes the neighbors of a node previously returned by
     /// [`NetworkExpansion::next_settled_unexpanded`].
     pub fn expand_from(&mut self, node: NodeId, dist: Weight) {
-        if self.wants_hints {
-            self.expand_from_hinted(node, dist);
-            return;
-        }
         let bufs = &mut self.bufs;
         let pushes = &mut self.pushes;
         self.topo.visit_neighbors(node, &mut |nb| {
@@ -180,39 +156,6 @@ impl<'a, T: Topology + ?Sized> NetworkExpansion<'a, T> {
                 }
             }
         });
-    }
-
-    /// [`NetworkExpansion::expand_from`] with frontier hint collection: every
-    /// neighbor newly pushed onto the heap is an adjacency list the expansion
-    /// is likely to fetch soon, so its node id is passed to
-    /// [`Topology::prefetch_hint`] after the visit. Hints are best-effort and
-    /// change neither the relaxation logic nor its order — this method is
-    /// bit-for-bit the plain loop plus a `Vec<NodeId>` of the fresh pushes.
-    fn expand_from_hinted(&mut self, node: NodeId, dist: Weight) {
-        let mut hints = std::mem::take(&mut self.bufs.hints);
-        hints.clear();
-        {
-            let bufs = &mut self.bufs;
-            let pushes = &mut self.pushes;
-            let hints = &mut hints;
-            self.topo.visit_neighbors(node, &mut |nb| {
-                let cand = dist + nb.weight;
-                match bufs.labels.get(&nb.node) {
-                    Some(Label::Settled(_)) => {}
-                    Some(Label::Tentative(best)) if *best <= cand => {}
-                    _ => {
-                        bufs.labels.insert(nb.node, Label::Tentative(cand));
-                        bufs.heap.push(Reverse((cand, nb.node)));
-                        *pushes += 1;
-                        hints.push(nb.node);
-                    }
-                }
-            });
-        }
-        if !hints.is_empty() {
-            self.topo.prefetch_hint(&hints);
-        }
-        self.bufs.hints = hints;
     }
 
     /// Returns the settled distance of `node`, if it has been settled.
@@ -340,68 +283,5 @@ mod tests {
         assert_eq!(all[&NodeId::new(0)].value(), 1.0);
         assert_eq!(all[&NodeId::new(3)].value(), 1.0);
         assert_eq!(all[&NodeId::new(2)].value(), 2.0);
-    }
-
-    /// A topology wrapper that asks for prefetch hints and records every
-    /// batch it receives (stand-in for the paged graph in `rnn-storage`).
-    struct HintRecorder<'g> {
-        graph: &'g Graph,
-        hints: std::sync::Mutex<Vec<Vec<usize>>>,
-    }
-
-    impl Topology for HintRecorder<'_> {
-        fn num_nodes(&self) -> usize {
-            self.graph.num_nodes()
-        }
-        fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(rnn_graph::Neighbor)) {
-            self.graph.visit_neighbors(node, visit)
-        }
-        fn wants_prefetch_hints(&self) -> bool {
-            true
-        }
-        fn prefetch_hint(&self, nodes: &[NodeId]) {
-            let mut batch: Vec<usize> = nodes.iter().map(|n| n.index()).collect();
-            batch.sort_unstable();
-            self.hints.lock().unwrap().push(batch);
-        }
-    }
-
-    #[test]
-    fn hinting_topology_receives_sources_and_fresh_frontier_pushes() {
-        let g = diamond();
-        let rec = HintRecorder { graph: &g, hints: std::sync::Mutex::new(Vec::new()) };
-        let mut exp = NetworkExpansion::new(&rec, NodeId::new(0));
-        let mut settled = Vec::new();
-        while let Some((n, d)) = exp.next_settled() {
-            settled.push((n.index(), d.value()));
-        }
-        // Hints MUST NOT change results: same settle order and distances as
-        // the plain expansion test above.
-        assert_eq!(settled, vec![(0, 0.0), (1, 1.0), (3, 2.0), (2, 3.0)]);
-        let hints = rec.hints.into_inner().unwrap();
-        // First batch is the source itself, then each expansion hints the
-        // neighbors it freshly pushed: 0 pushes {1,2}, 1 pushes {3},
-        // 3 re-pushes 2 with the better distance, 2 pushes nothing.
-        assert_eq!(hints, vec![vec![0], vec![1, 2], vec![3], vec![2]]);
-    }
-
-    #[test]
-    fn non_hinting_topology_never_gets_hint_calls() {
-        struct NoHints<'g>(&'g Graph, std::sync::atomic::AtomicU32);
-        impl Topology for NoHints<'_> {
-            fn num_nodes(&self) -> usize {
-                self.0.num_nodes()
-            }
-            fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(rnn_graph::Neighbor)) {
-                self.0.visit_neighbors(node, visit)
-            }
-            fn prefetch_hint(&self, _nodes: &[NodeId]) {
-                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-        let g = diamond();
-        let topo = NoHints(&g, std::sync::atomic::AtomicU32::new(0));
-        NetworkExpansion::new(&topo, NodeId::new(0)).run_to_completion();
-        assert_eq!(topo.1.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 }

@@ -71,10 +71,6 @@ pub struct UnrestrictedExpansion<'a, T: Topology + ?Sized> {
     point_emitted: FastSet<PointId>,
     target_emitted: bool,
     settled_nodes: u64,
-    /// Cached [`Topology::wants_prefetch_hints`] (checked once per
-    /// expansion); hints are collected only when `true`.
-    wants_hints: bool,
-    hint_scratch: Vec<NodeId>,
 }
 
 impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
@@ -82,7 +78,6 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
     pub fn from_node(topo: &'a T, points: &'a EdgePointSet, source: NodeId) -> Self {
         let mut exp = Self::empty(topo, points, None);
         exp.relax_node(source, Weight::ZERO);
-        exp.hint_sources();
         exp
     }
 
@@ -109,7 +104,6 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
                 exp.heap.push(HeapEntry { dist: direct, key: Key::Target });
             }
         }
-        exp.hint_sources();
         exp
     }
 
@@ -122,7 +116,6 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
     ) -> Self {
         let mut exp = Self::empty(topo, points, Some(target));
         exp.relax_node(source, Weight::ZERO);
-        exp.hint_sources();
         exp
     }
 
@@ -137,20 +130,6 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
             point_emitted: fast_set(),
             target_emitted: false,
             settled_nodes: 0,
-            wants_hints: topo.wants_prefetch_hints(),
-            hint_scratch: Vec::new(),
-        }
-    }
-
-    /// Hints the source nodes to a hint-hungry topology: their adjacency
-    /// lists are the first fetches of the expansion. No-op otherwise.
-    fn hint_sources(&mut self) {
-        if self.wants_hints && !self.node_best.is_empty() {
-            let mut hints = std::mem::take(&mut self.hint_scratch);
-            hints.clear();
-            hints.extend(self.node_best.keys().copied());
-            self.topo.prefetch_hint(&hints);
-            self.hint_scratch = hints;
         }
     }
 
@@ -221,16 +200,6 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
         // Collect the adjacency once to avoid borrowing `self` inside the
         // topology callback.
         let neighbors = self.topo.neighbors_vec(node);
-        // Freshly relaxed neighbors are upcoming fetches — collect them for
-        // a frontier prefetch hint when the topology asks for them. Hints
-        // never alter the relaxation itself.
-        let mut hints = if self.wants_hints {
-            let mut h = std::mem::take(&mut self.hint_scratch);
-            h.clear();
-            Some(h)
-        } else {
-            None
-        };
         for nb in neighbors {
             // Data points on the adjacent edge.
             for ep in self.points.points_on_edge(nb.edge) {
@@ -258,17 +227,8 @@ impl<'a, T: Topology + ?Sized> UnrestrictedExpansion<'a, T> {
                 if self.node_best.get(&nb.node).is_none_or(|b| cand < *b) {
                     self.node_best.insert(nb.node, cand);
                     self.heap.push(HeapEntry { dist: cand, key: Key::Node(nb.node) });
-                    if let Some(h) = hints.as_mut() {
-                        h.push(nb.node);
-                    }
                 }
             }
-        }
-        if let Some(h) = hints {
-            if !h.is_empty() {
-                self.topo.prefetch_hint(&h);
-            }
-            self.hint_scratch = h;
         }
     }
 }
@@ -487,45 +447,5 @@ mod tests {
         // closer (p2 is at 13) -> accepted for k=1.
         let (ok, _) = unrestricted_verify(&g, &pts, PointId::new(0), &p0, &p1, 1);
         assert!(ok);
-    }
-
-    #[test]
-    fn hinting_topology_gets_sources_and_frontier_and_results_are_unchanged() {
-        struct Recorder<'g> {
-            graph: &'g Graph,
-            hints: std::sync::Mutex<Vec<Vec<usize>>>,
-        }
-        impl Topology for Recorder<'_> {
-            fn num_nodes(&self) -> usize {
-                self.graph.num_nodes()
-            }
-            fn visit_neighbors(&self, node: NodeId, visit: &mut dyn FnMut(rnn_graph::Neighbor)) {
-                self.graph.visit_neighbors(node, visit)
-            }
-            fn wants_prefetch_hints(&self) -> bool {
-                true
-            }
-            fn prefetch_hint(&self, nodes: &[NodeId]) {
-                let mut batch: Vec<usize> = nodes.iter().map(|n| n.index()).collect();
-                batch.sort_unstable();
-                self.hints.lock().unwrap().push(batch);
-            }
-        }
-
-        let (g, pts) = sample();
-        let baseline: Vec<Event> = {
-            let mut exp = UnrestrictedExpansion::from_node(&g, &pts, NodeId::new(0));
-            std::iter::from_fn(|| exp.next_event()).collect()
-        };
-        let rec = Recorder { graph: &g, hints: std::sync::Mutex::new(Vec::new()) };
-        let mut exp = UnrestrictedExpansion::from_node(&rec, &pts, NodeId::new(0));
-        let hinted: Vec<Event> = std::iter::from_fn(|| exp.next_event()).collect();
-        assert_eq!(hinted, baseline, "hints must not change the event stream");
-        let hints = rec.hints.into_inner().unwrap();
-        assert_eq!(hints[0], vec![0], "the source is hinted first");
-        assert!(
-            hints[1..].iter().all(|b| !b.is_empty()),
-            "frontier batches only fire when something was freshly relaxed"
-        );
     }
 }

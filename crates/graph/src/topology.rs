@@ -42,29 +42,6 @@ pub trait Topology: Sync {
     fn contains_node(&self, node: NodeId) -> bool {
         node.index() < self.num_nodes()
     }
-
-    /// Whether this topology wants [`Topology::prefetch_hint`] calls.
-    ///
-    /// Expansion loops know the next frontier nodes before they expand them;
-    /// when this returns `true` they pass those nodes along so a paged
-    /// topology can warm its buffer ahead of the demand fetches. The default
-    /// is `false`, and callers must check it *once* per expansion and skip
-    /// hint collection entirely when it is off — that keeps the in-memory
-    /// path at zero cost.
-    fn wants_prefetch_hints(&self) -> bool {
-        false
-    }
-
-    /// Best-effort notice that the adjacency lists of `nodes` are likely to
-    /// be fetched soon.
-    ///
-    /// Purely advisory: implementations MUST NOT let hints change query
-    /// results or demand-side I/O accounting (hints may only move work into
-    /// separately accounted speculative reads), and callers MUST NOT rely on
-    /// any effect. The default does nothing.
-    fn prefetch_hint(&self, nodes: &[NodeId]) {
-        let _ = nodes;
-    }
 }
 
 impl<T: Topology + ?Sized> Topology for &T {
@@ -82,14 +59,6 @@ impl<T: Topology + ?Sized> Topology for &T {
 
     fn contains_node(&self, node: NodeId) -> bool {
         (**self).contains_node(node)
-    }
-
-    fn wants_prefetch_hints(&self) -> bool {
-        (**self).wants_prefetch_hints()
-    }
-
-    fn prefetch_hint(&self, nodes: &[NodeId]) {
-        (**self).prefetch_hint(nodes)
     }
 }
 
@@ -122,9 +91,5 @@ mod tests {
         assert!(r.contains_node(NodeId::new(1)));
         assert!(!r.contains_node(NodeId::new(2)));
         assert_eq!(r.neighbors_vec(NodeId::new(0)).len(), 1);
-        // Prefetch hints default off (and to a no-op) — in-memory graphs
-        // have nothing to warm; the reference impl delegates both.
-        assert!(!r.wants_prefetch_hints());
-        r.prefetch_hint(&[NodeId::new(0)]);
     }
 }

@@ -57,7 +57,7 @@ use rnn_obs::{
     Drained, EventKind, FlightRecorder, LatencyHistogram, MetricsRegistry, SloEngine,
     SloTransition, SlowQueryLog, SlowQueryReport, TraceRecorder,
 };
-use rnn_storage::{EvictionPolicy, IoCounters, StorageControl};
+use rnn_storage::{IoCounters, StorageControl};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -86,11 +86,11 @@ pub struct World {
     /// maintains incrementally (the type-erased `hub_labels` handle cannot
     /// be mutated through the trait).
     hub_index: Option<Arc<HubLabelIndex>>,
-    /// Runtime-tuning handle of the paged storage behind `topo`, when the
+    /// Introspection handle of the paged storage behind `topo`, when the
     /// world is disk-resident ([`World::with_storage_control`]): lets the
-    /// server apply [`ServerConfig`]'s eviction-policy / prefetch knobs and
-    /// export the buffer's policy + prefetch telemetry. Point swaps never
-    /// touch it — the topology (and its storage) outlives point churn.
+    /// server export per-shard buffer telemetry and route buffer-pool
+    /// control events to its flight recorder. Point swaps never touch it —
+    /// the topology (and its storage) outlives point churn.
     storage: Option<Arc<dyn StorageControl>>,
 }
 
@@ -107,9 +107,8 @@ impl World {
 
     /// Attaches the storage-control handle of a paged topology (typically
     /// the same `Arc<PagedGraph<_>>` passed as `topo`, re-cast): the server
-    /// then applies [`ServerConfig::with_eviction_policy`] /
-    /// [`ServerConfig::with_prefetch`] at startup and exports the buffer
-    /// pool's policy and prefetch counters through its metrics source.
+    /// then exports the buffer pool's per-shard hit rates through its
+    /// metrics source.
     pub fn with_storage_control(mut self, storage: Arc<dyn StorageControl>) -> Self {
         self.storage = Some(storage);
         self
@@ -211,16 +210,6 @@ pub struct ServerConfig {
     pub slow_samples: usize,
     /// Seed of the slow-query log's deterministic sampler.
     pub slow_seed: u64,
-    /// Page-eviction policy to apply to the world's paged storage at
-    /// startup (requires [`World::with_storage_control`]). `None` leaves
-    /// the backend's current policy — the paper-exact LRU by default.
-    pub eviction_policy: Option<EvictionPolicy>,
-    /// Expansion-frontier prefetch on the paged storage: `Some(true)` /
-    /// `Some(false)` set it at startup (requires
-    /// [`World::with_storage_control`]), `None` leaves the backend as
-    /// built. Prefetch is speculation-only — it never changes results or
-    /// demand I/O accounting.
-    pub prefetch: Option<bool>,
 }
 
 impl Default for ServerConfig {
@@ -240,8 +229,6 @@ impl Default for ServerConfig {
             slow_sample_every: 0,
             slow_samples: 0,
             slow_seed: 0,
-            eviction_policy: None,
-            prefetch: None,
         }
     }
 }
@@ -308,20 +295,6 @@ impl ServerConfig {
         self.slow_samples = samples;
         self.slow_seed = seed;
         self.tracing = true;
-        self
-    }
-
-    /// Sets the page-eviction policy to apply to the world's paged storage
-    /// at startup (no-op for in-memory worlds).
-    pub fn with_eviction_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.eviction_policy = Some(policy);
-        self
-    }
-
-    /// Enables or disables expansion-frontier prefetch on the world's paged
-    /// storage at startup (no-op for in-memory worlds).
-    pub fn with_prefetch(mut self, enabled: bool) -> Self {
-        self.prefetch = Some(enabled);
         self
     }
 }
@@ -557,10 +530,8 @@ impl Shared {
 /// to the totals, `queue_wait.count() <= completed + shed_at_dequeue`).
 ///
 /// When the world carries a storage-control handle
-/// ([`World::with_storage_control`]), the source additionally emits the
-/// buffer's eviction-policy code, whether prefetch is on, the pool-level
-/// `prefetch_{issued,useful,wasted}` counters and a per-shard demand
-/// hit-rate gauge — all from one [`StorageControl::pool_stats`] call. The
+/// ([`World::with_storage_control`]), the source additionally emits a
+/// per-shard hit-rate gauge from one [`StorageControl::pool_stats`] call. The
 /// handle is captured at registration (point swaps never replace the
 /// storage), so polling stays lock-free with respect to the world lock.
 fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
@@ -609,13 +580,7 @@ fn register_server_source(registry: &MetricsRegistry, shared: &Arc<Shared>) {
         set.counter("rnn_server_io_faults_total", s.io.faults);
         set.counter("rnn_server_io_evictions_total", s.io.evictions);
         if let Some(storage) = &storage {
-            set.gauge("rnn_server_storage_policy", storage.policy().code());
-            set.gauge("rnn_server_storage_prefetch_enabled", u64::from(storage.prefetch_enabled()));
-            let pool = storage.pool_stats();
-            set.counter("rnn_server_storage_prefetch_issued_total", pool.total.prefetch_issued);
-            set.counter("rnn_server_storage_prefetch_useful_total", pool.total.prefetch_useful);
-            set.counter("rnn_server_storage_prefetch_wasted_total", pool.total.prefetch_wasted);
-            for (i, shard) in pool.per_shard.iter().enumerate() {
+            for (i, shard) in storage.pool_stats().per_shard.iter().enumerate() {
                 set.gauge(
                     &format!("rnn_server_storage_shard_hit_rate_permille{{shard=\"{i}\"}}"),
                     shard.hit_rate_permille(),
@@ -672,7 +637,7 @@ impl Server {
     /// recorder of structured serving events (admission sheds, point
     /// swaps, worker lifecycle, slow-query captures, SLO transitions —
     /// and, when the world carries a storage-control handle, buffer-pool
-    /// resize / policy / clear events). See [`TelemetryConfig`] for the
+    /// resize / clear events). See [`TelemetryConfig`] for the
     /// clock-driving options and [`Server::advance_epoch`] for the manual
     /// driver.
     pub fn start_with_telemetry(
@@ -692,16 +657,6 @@ impl Server {
         registry: Option<&MetricsRegistry>,
         telemetry: Option<TelemetryConfig>,
     ) -> Server {
-        // Apply the storage knobs before any worker can fetch a page, so the
-        // whole serving lifetime runs under one policy/prefetch setting.
-        if let Some(storage) = &world.storage {
-            if let Some(policy) = config.eviction_policy {
-                storage.set_policy(policy);
-            }
-            if let Some(prefetch) = config.prefetch {
-                storage.set_prefetch(prefetch);
-            }
-        }
         let workers = config.workers.max(1);
         let cache = (config.cache_capacity > 0).then(|| {
             let shards = if config.cache_shards == 0 { workers } else { config.cache_shards };
@@ -730,7 +685,7 @@ impl Server {
             _ => None,
         };
         // Hand the flight recorder to the storage layer's control paths, so
-        // runtime resize / policy / clear actions land on the same event
+        // runtime resize / clear actions land on the same event
         // timeline as the serving events.
         if let (Some(t), Some(storage)) = (&telemetry, &world.storage) {
             if let Some(events) = t.recorder() {
@@ -967,8 +922,7 @@ impl Server {
 
     /// The world's storage-control handle, when the server fronts a paged
     /// topology ([`World::with_storage_control`]) — for inspecting the
-    /// buffer's policy, prefetch setting and prefetch usefulness at
-    /// runtime.
+    /// buffer's shape and per-shard counters at runtime.
     pub fn storage_control(&self) -> Option<Arc<dyn StorageControl>> {
         self.shared.world.read().storage.clone()
     }
@@ -1289,7 +1243,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_control_applies_config_and_exports_prefetch_telemetry() {
+    fn storage_control_exports_per_shard_hit_rates() {
         use rnn_storage::{BufferPoolConfig, LayoutStrategy, PagedGraph};
         let graph = Arc::new(grid(9));
         let n = 81;
@@ -1310,16 +1264,12 @@ mod tests {
         let registry = MetricsRegistry::new();
         let server = Server::start_observed(
             world,
-            ServerConfig::default()
-                .with_workers(2)
-                .with_eviction_policy(EvictionPolicy::TwoQ)
-                .with_prefetch(true),
+            ServerConfig::default().with_workers(2),
             Some(counters),
             &registry,
         );
         let ctl = server.storage_control().expect("the world carries a storage handle");
-        assert_eq!(ctl.policy(), EvictionPolicy::TwoQ, "config applied at startup");
-        assert!(ctl.prefetch_enabled(), "config applied at startup");
+        assert_eq!((ctl.buffer_capacity(), ctl.num_shards()), (16, 2));
 
         let tickets: Vec<Ticket> = (0..n)
             .map(|q| server.submit(Request::new(Algorithm::Lazy, NodeId::new(q), 2)).unwrap())
@@ -1334,21 +1284,19 @@ mod tests {
                 NodeId::new(q),
                 2,
             );
-            assert_eq!(served.outcome, direct, "prefetch/policy must not change results");
+            assert_eq!(served.outcome, direct, "paged serving must not change results");
         }
 
         let snap = registry.snapshot();
-        assert_eq!(snap.gauge("rnn_server_storage_policy"), Some(EvictionPolicy::TwoQ.code()));
-        assert_eq!(snap.gauge("rnn_server_storage_prefetch_enabled"), Some(1));
-        let issued = snap.counter("rnn_server_storage_prefetch_issued_total").unwrap();
-        let useful = snap.counter("rnn_server_storage_prefetch_useful_total").unwrap();
-        let wasted = snap.counter("rnn_server_storage_prefetch_wasted_total").unwrap();
-        assert!(issued > 0, "expansions over a paged world emit prefetch hints");
-        assert!(useful + wasted <= issued, "each issued page decides at most once");
-        assert!(
-            snap.gauge("rnn_server_storage_shard_hit_rate_permille{shard=\"0\"}").is_some(),
-            "per-shard hit-rate gauge is exported"
-        );
+        let pool = ctl.pool_stats();
+        assert!(pool.total.accesses() > 0, "paged queries go through the buffer");
+        for (i, shard) in pool.per_shard.iter().enumerate() {
+            assert_eq!(
+                snap.gauge(&format!("rnn_server_storage_shard_hit_rate_permille{{shard=\"{i}\"}}")),
+                Some(shard.hit_rate_permille()),
+                "shard {i} hit-rate gauge is exported"
+            );
+        }
         server.shutdown();
     }
 

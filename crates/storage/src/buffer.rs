@@ -4,7 +4,7 @@
 //! 4 KB); Fig. 21 varies the buffer between 0 and 1024 pages. [`BufferPool`]
 //! reproduces that component: it caches decoded [`Page`]s, evicts the least
 //! recently used page when full, and records every access in the shared
-//! [`IoCounters`].
+//! [`IoCounters`]. Pages are read only on demand, when an access misses.
 //!
 //! The pool is **sharded**: the capacity is split across a power-of-two
 //! number of independently locked shards and every page id maps to
@@ -12,17 +12,10 @@
 //! pages in distinct shards never contend on a lock. With one shard
 //! (the default, and the only configuration before sharding existed) the
 //! pool is a single LRU whose victim order is bit-compatible with the
-//! paper's buffer; with N shards each shard runs the same policy over its
-//! slice of the pages. Shard counts come from [`BufferPoolConfig`].
-//!
-//! The *eviction policy* of the shards is pluggable
-//! ([`BufferPoolConfig::with_policy`]): exact LRU (the default), Clock
-//! (second-chance, no recency-list writes on a hit) or 2Q (scan-resistant)
-//! — see [`EvictionPolicy`]. On top of the demand path the pool supports
-//! batched fetches ([`BufferPool::fetch_many`], one lock round per owning
-//! shard) and best-effort speculative reads ([`BufferPool::prefetch`])
-//! with their own `prefetch_issued` / `prefetch_useful` / `prefetch_wasted`
-//! accounting, kept strictly out of the demand counters.
+//! paper's buffer; with N shards each shard is an [`Lru`] over its slice of
+//! the pages. Shard counts come from [`BufferPoolConfig`].
+//! [`BufferPool::fetch_many`] serves a batch with one lock round per owning
+//! shard.
 //!
 //! Each shard keeps its own hit/fault/eviction counters ([`ShardStats`],
 //! reported by [`BufferPool::io_stats`] as a [`BufferPoolStats`] breakdown
@@ -33,9 +26,8 @@
 use crate::disk::PageStore;
 use crate::error::StorageError;
 use crate::io_stats::{IoCounters, IoStats};
-use crate::lru::mix64;
+use crate::lru::{mix64, Lru};
 use crate::page::{Page, PageId};
-use crate::policy::{EvictionPolicy, PageCache};
 use parking_lot::Mutex;
 use rnn_obs::{EventKind, FlightRecorder};
 use std::ops::AddAssign;
@@ -45,8 +37,7 @@ use std::sync::Arc;
 /// Number of pages in the paper's default 1 MB buffer.
 pub const DEFAULT_BUFFER_PAGES: usize = 256;
 
-/// Configuration of a [`BufferPool`]: total capacity, shard count and
-/// eviction policy.
+/// Configuration of a [`BufferPool`]: total capacity and shard count.
 ///
 /// The shard count is normalized when the pool is built: it is rounded up to
 /// a power of two (so the shard of a page is one mask of its mixed id) and
@@ -60,16 +51,13 @@ pub struct BufferPoolConfig {
     pub capacity: usize,
     /// Requested shard count (normalized to a power of two when building).
     pub shards: usize,
-    /// Eviction policy every shard runs ([`EvictionPolicy::Lru`] by
-    /// default — the paper's buffer, bit-compatible victim order).
-    pub policy: EvictionPolicy,
 }
 
 impl BufferPoolConfig {
     /// A single-shard LRU pool of `capacity` pages — the classic
     /// configuration, bit-compatible with the paper's single LRU list.
     pub fn new(capacity: usize) -> Self {
-        BufferPoolConfig { capacity, shards: 1, policy: EvictionPolicy::Lru }
+        BufferPoolConfig { capacity, shards: 1 }
     }
 
     /// Sets the requested shard count (see the type docs for normalization).
@@ -79,13 +67,6 @@ impl BufferPoolConfig {
     /// granularity, while fewer serializes distinct-page fetches.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the eviction policy (see [`EvictionPolicy`] for the
-    /// trade-offs). All shards run the same policy.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -114,50 +95,35 @@ impl Default for BufferPoolConfig {
     }
 }
 
-/// Hit/fault/eviction counters of one buffer shard (or their sum), plus the
-/// shard's prefetch accounting.
+/// Hit/fault/eviction counters of one buffer shard (or their sum).
 ///
-/// `hits + faults` is the shard's **demand** access count; the three
-/// `prefetch_*` counters track speculative reads separately and never leak
-/// into the demand counters (a prefetch is not an access, its read is not a
-/// fault, and a page it displaces is not an eviction — `evictions <= faults
-/// <= accesses` keeps holding with prefetch on). Like [`IoStats`] and the
-/// engine's `QueryStats`, snapshots add with `+=` so per-shard breakdowns
-/// fold into totals without ad-hoc summation code.
+/// `hits + faults` is the shard's access count, and `evictions <= faults
+/// <= accesses` always holds. Like [`IoStats`] and the engine's
+/// `QueryStats`, snapshots add with `+=` so per-shard breakdowns fold into
+/// totals without ad-hoc summation code.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Demand accesses served from the shard's cache.
+    /// Accesses served from the shard's cache.
     pub hits: u64,
-    /// Demand accesses that missed and read from the store.
+    /// Accesses that missed and read from the store.
     pub faults: u64,
     /// Pages evicted to make room for a faulted page.
     pub evictions: u64,
-    /// Pages speculatively read into the shard by [`BufferPool::prefetch`]
-    /// (already-resident hint pages are skipped and not counted).
-    pub prefetch_issued: u64,
-    /// Prefetched pages that later served a demand access — each issued
-    /// page counts at most once, on its first demand hit.
-    pub prefetch_useful: u64,
-    /// Prefetched pages dropped (evicted, drained by a resize) before any
-    /// demand access used them. `useful + wasted <= issued`; the difference
-    /// is still resident and undecided.
-    pub prefetch_wasted: u64,
 }
 
 impl ShardStats {
-    /// Total demand accesses routed to this shard.
+    /// Total accesses routed to this shard.
     pub fn accesses(&self) -> u64 {
         self.hits + self.faults
     }
 
-    /// The demand counts as an [`IoStats`] snapshot (for comparison with the
-    /// thread-attributed [`IoCounters`] totals; prefetch activity is
-    /// excluded from both views).
+    /// The counts as an [`IoStats`] snapshot (for comparison with the
+    /// thread-attributed [`IoCounters`] totals).
     pub fn as_io_stats(&self) -> IoStats {
         IoStats { accesses: self.accesses(), faults: self.faults, evictions: self.evictions }
     }
 
-    /// Demand hit rate in permille (0 when the shard saw no accesses).
+    /// Hit rate in permille (0 when the shard saw no accesses).
     pub fn hit_rate_permille(&self) -> u64 {
         (self.hits * 1000).checked_div(self.accesses()).unwrap_or(0)
     }
@@ -168,9 +134,6 @@ impl AddAssign<&ShardStats> for ShardStats {
         self.hits += other.hits;
         self.faults += other.faults;
         self.evictions += other.evictions;
-        self.prefetch_issued += other.prefetch_issued;
-        self.prefetch_useful += other.prefetch_useful;
-        self.prefetch_wasted += other.prefetch_wasted;
     }
 }
 
@@ -191,20 +154,20 @@ pub struct BufferPoolStats {
     pub total: ShardStats,
 }
 
-/// One independently locked slice of the pool: a policy-driven page cache
-/// over the pages whose mixed id maps here, plus this shard's counters.
+/// One independently locked slice of the pool: an LRU over the pages whose
+/// mixed id maps here, plus this shard's counters.
 /// Counters live *inside* the lock — every read and write happens under the
 /// shard's guard — which is what makes [`BufferPool::clear`] (all guards
 /// held) atomic with the pages by construction.
 struct ShardState {
-    cache: PageCache,
+    cache: Lru<PageId, Page>,
     stats: ShardStats,
 }
 
 type Shard = Mutex<ShardState>;
 
-fn new_shard(policy: EvictionPolicy, capacity: usize) -> Shard {
-    Mutex::new(ShardState { cache: PageCache::new(policy, capacity), stats: ShardStats::default() })
+fn new_shard(capacity: usize) -> Shard {
+    Mutex::new(ShardState { cache: Lru::new(capacity), stats: ShardStats::default() })
 }
 
 /// A striped LRU page buffer on top of a [`PageStore`].
@@ -217,7 +180,7 @@ pub struct BufferPool<S> {
     shards: Vec<Shard>,
     counters: IoCounters,
     /// Optional flight-recorder sink for control-plane events (resize,
-    /// policy switch, clear). Touched only on those paths — never on
+    /// clear). Touched only on those paths — never on
     /// `fetch` — so attaching a sink costs the hot path nothing.
     events: Mutex<Option<Arc<FlightRecorder>>>,
 }
@@ -236,11 +199,7 @@ impl<S: PageStore> BufferPool<S> {
     /// Creates a buffer from a [`BufferPoolConfig`] (capacity split across
     /// the normalized shard count).
     pub fn with_config(store: S, config: BufferPoolConfig, counters: IoCounters) -> Self {
-        let shards: Vec<Shard> = config
-            .shard_capacities()
-            .into_iter()
-            .map(|cap| new_shard(config.policy, cap))
-            .collect();
+        let shards: Vec<Shard> = config.shard_capacities().into_iter().map(new_shard).collect();
         debug_assert!(shards.len().is_power_of_two());
         BufferPool {
             store,
@@ -253,10 +212,9 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Attaches a flight recorder: from here on, every control-plane
-    /// mutation — [`BufferPool::resize`], [`BufferPool::set_policy`],
-    /// [`BufferPool::clear`] / [`BufferPool::clear_and_reset`] — appends a
-    /// structured event ([`EventKind::PoolResize`] /
-    /// [`EventKind::PoolPolicy`] / [`EventKind::PoolClear`]), so runtime
+    /// mutation — [`BufferPool::resize`], [`BufferPool::clear`] /
+    /// [`BufferPool::clear_and_reset`] — appends a structured event
+    /// ([`EventKind::PoolResize`] / [`EventKind::PoolClear`]), so runtime
     /// tuning actions land on the same timeline as the serving events.
     /// Replaces any previous sink.
     pub fn set_event_sink(&self, recorder: Arc<FlightRecorder>) {
@@ -297,11 +255,6 @@ impl<S: PageStore> BufferPool<S> {
     pub fn resident_pages(&self) -> usize {
         let guards = self.lock_all();
         guards.iter().map(|g| g.cache.len()).sum()
-    }
-
-    /// The eviction policy the shards run (all shards share one policy).
-    pub fn policy(&self) -> EvictionPolicy {
-        self.shards[0].lock().cache.policy()
     }
 
     /// The shared I/O counters this pool reports into.
@@ -370,19 +323,16 @@ impl<S: PageStore> BufferPool<S> {
     ///
     /// The new capacity is re-split over the existing shards with the same
     /// remainder-first rule the constructor uses. A shrink drains each
-    /// over-full shard in **its policy's own victim order** — exact LRU
-    /// order for the default policy (the surviving pages are precisely the
-    /// most recently used of each shard), hand-sweep order for Clock,
-    /// reclaim order for 2Q; a grow only adds headroom. With fewer pages
-    /// than shards, the trailing shards get capacity 0 and cache nothing
-    /// (every access to them faults).
+    /// over-full shard in exact LRU order (the surviving pages are precisely
+    /// the most recently used of each shard); a grow only adds headroom.
+    /// With fewer pages than shards, the trailing shards get capacity 0 and
+    /// cache nothing (every access to them faults).
     ///
     /// Pages dropped by a shrink are *not* counted as evictions in either
     /// accounting system: eviction counters mean "evicted to make room for a
     /// faulted page", and keeping resize out of them preserves the
     /// pool-vs-[`IoCounters`] agreement (`evictions <= faults`) that the
-    /// concurrency tests pin down. A drained page that was prefetched and
-    /// never used does count as `prefetch_wasted` — it genuinely was.
+    /// concurrency tests pin down.
     pub fn resize(&self, new_capacity: usize) {
         let mut guards = self.lock_all();
         let shards = guards.len();
@@ -392,51 +342,12 @@ impl<S: PageStore> BufferPool<S> {
             let cap = base + usize::from(i < extra);
             guard.cache.set_capacity(cap);
             while guard.cache.len() > cap {
-                match guard.cache.pop_victim() {
-                    Some(v) if v.prefetched_unused => guard.stats.prefetch_wasted += 1,
-                    Some(_) => {}
-                    None => break,
-                }
+                guard.cache.pop_lru();
             }
         }
         self.capacity.store(new_capacity, Ordering::Relaxed);
         drop(guards);
         self.emit(EventKind::PoolResize { pages: new_capacity as u64 });
-    }
-
-    /// Switches every shard to `policy` at runtime, holding all shard locks
-    /// (serving systems tune the policy without rebuilding the pool or
-    /// invalidating the page→shard mapping).
-    ///
-    /// Resident pages are carried over: each shard is drained in its old
-    /// policy's victim order and re-admitted into the new cache from coldest
-    /// to warmest, preserving both residency and each page's unused-prefetch
-    /// standing (so `prefetch_useful`/`prefetch_wasted` accounting stays
-    /// truthful across the switch). No counter changes — like
-    /// [`BufferPool::resize`], a policy switch is not demand activity.
-    pub fn set_policy(&self, policy: EvictionPolicy) {
-        let mut guards = self.lock_all();
-        for guard in guards.iter_mut() {
-            if guard.cache.policy() == policy {
-                continue;
-            }
-            let capacity = guard.cache.capacity();
-            let mut drained = Vec::with_capacity(guard.cache.len());
-            while let Some(v) = guard.cache.pop_victim() {
-                drained.push(v);
-            }
-            let mut cache = PageCache::new(policy, capacity);
-            for v in drained.into_iter().rev() {
-                if v.prefetched_unused {
-                    cache.insert_prefetched(v.id, v.page);
-                } else {
-                    cache.insert(v.id, v.page);
-                }
-            }
-            guard.cache = cache;
-        }
-        drop(guards);
-        self.emit(EventKind::PoolPolicy { policy: policy.code() });
     }
 
     fn clear_locked(&self, mut guards: Vec<std::sync::MutexGuard<'_, ShardState>>) {
@@ -484,11 +395,8 @@ impl<S: PageStore> BufferPool<S> {
         let shard = &self.shards[self.shard_of(page_id)];
         {
             let mut state = shard.lock();
-            if let Some((page, first_use)) = state.cache.lookup(page_id) {
+            if let Some(page) = state.cache.get(&page_id).cloned() {
                 state.stats.hits += 1;
-                if first_use {
-                    state.stats.prefetch_useful += 1;
-                }
                 self.counters.record_access(false, false);
                 return Ok(page);
             }
@@ -500,15 +408,9 @@ impl<S: PageStore> BufferPool<S> {
             let mut state = shard.lock();
             // Re-check: another thread may have inserted the page meanwhile
             // (then this insert refreshes it and evicts nothing).
-            let victim = state.cache.insert(page_id, page.clone());
+            let evicted = state.cache.insert(page_id, page.clone()).is_some();
             state.stats.faults += 1;
-            let evicted = victim.is_some();
-            if let Some(v) = victim {
-                state.stats.evictions += 1;
-                if v.prefetched_unused {
-                    state.stats.prefetch_wasted += 1;
-                }
-            }
+            state.stats.evictions += u64::from(evicted);
             self.counters.record_access(true, evicted);
         }
         Ok(page)
@@ -560,11 +462,8 @@ impl<S: PageStore> BufferPool<S> {
                         state.stats.hits += 1;
                         self.counters.record_access(false, false);
                         batch_dups.push(i);
-                    } else if let Some((page, first_use)) = state.cache.lookup(id) {
+                    } else if let Some(page) = state.cache.get(&id).cloned() {
                         state.stats.hits += 1;
-                        if first_use {
-                            state.stats.prefetch_useful += 1;
-                        }
                         self.counters.record_access(false, false);
                         out[i] = Some(page);
                     } else {
@@ -584,15 +483,9 @@ impl<S: PageStore> BufferPool<S> {
             {
                 let mut state = shard.lock();
                 for (&i, page) in missing.iter().zip(pages) {
-                    let victim = state.cache.insert(ids[i], page.clone());
+                    let evicted = state.cache.insert(ids[i], page.clone()).is_some();
                     state.stats.faults += 1;
-                    let evicted = victim.is_some();
-                    if let Some(v) = victim {
-                        state.stats.evictions += 1;
-                        if v.prefetched_unused {
-                            state.stats.prefetch_wasted += 1;
-                        }
-                    }
+                    state.stats.evictions += u64::from(evicted);
                     self.counters.record_access(true, evicted);
                     out[i] = Some(page);
                 }
@@ -605,72 +498,6 @@ impl<S: PageStore> BufferPool<S> {
         }
         Ok(out.into_iter().map(|p| p.expect("every id resolved")).collect())
     }
-
-    /// Speculatively faults `ids` into the pool, **without** demand
-    /// accounting: no access, no fault, no eviction is recorded in either
-    /// accounting system (so per-query I/O numbers and the `evictions <=
-    /// faults <= accesses` invariant are untouched). Each page actually read
-    /// counts once as `prefetch_issued`; a later demand hit turns it
-    /// `prefetch_useful`, an unused drop turns it `prefetch_wasted`.
-    ///
-    /// Best-effort by design: already-resident pages are skipped without
-    /// touching their recency/reference state, store errors are swallowed
-    /// (the demand fetch will surface them), a zero-capacity pool ignores
-    /// hints entirely, and admitted pages enter **cold** (first in victim
-    /// order) so a wrong guess costs one page slot for the shortest possible
-    /// time. Pages a speculative admission displaces are not demand
-    /// evictions; if the displaced page was itself an unused prefetch it
-    /// counts as wasted.
-    pub fn prefetch(&self, ids: &[PageId]) {
-        if ids.is_empty() || self.capacity() == 0 {
-            return;
-        }
-        let mut buckets: Vec<Vec<PageId>> = vec![Vec::new(); self.shards.len()];
-        for &id in ids {
-            buckets[self.shard_of(id)].push(id);
-        }
-        for (shard_idx, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let shard = &self.shards[shard_idx];
-            // Pass 1: drop already-resident (and duplicate) hints under one
-            // lock hold, with no policy-state side effects.
-            let mut to_read: Vec<PageId> = Vec::new();
-            {
-                let state = shard.lock();
-                for &id in bucket {
-                    if !state.cache.contains(id) && !to_read.contains(&id) {
-                        to_read.push(id);
-                    }
-                }
-            }
-            if to_read.is_empty() {
-                continue;
-            }
-            let mut pages: Vec<(PageId, Page)> = Vec::with_capacity(to_read.len());
-            for &id in &to_read {
-                if let Ok(page) = self.store.read_page(id) {
-                    pages.push((id, page));
-                }
-            }
-            {
-                let mut state = shard.lock();
-                for (id, page) in pages {
-                    if state.cache.contains(id) {
-                        continue; // a demand fetch won the race
-                    }
-                    let victim = state.cache.insert_prefetched(id, page);
-                    state.stats.prefetch_issued += 1;
-                    if let Some(v) = victim {
-                        if v.prefetched_unused {
-                            state.stats.prefetch_wasted += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl<S: PageStore> std::fmt::Debug for BufferPool<S> {
@@ -678,7 +505,6 @@ impl<S: PageStore> std::fmt::Debug for BufferPool<S> {
         f.debug_struct("BufferPool")
             .field("capacity", &self.capacity())
             .field("shards", &self.num_shards())
-            .field("policy", &self.policy())
             .field("resident", &self.resident_pages())
             .field("stats", &self.io_stats().total)
             .finish()
@@ -722,7 +548,6 @@ mod tests {
         pool.set_event_sink(Arc::clone(&recorder));
         pool.fetch(PageId(0)).unwrap();
         pool.resize(2);
-        pool.set_policy(EvictionPolicy::Clock);
         pool.clear();
         pool.clear_and_reset();
         let drained = recorder.drain();
@@ -731,7 +556,6 @@ mod tests {
             kinds,
             vec![
                 EventKind::PoolResize { pages: 2 },
-                EventKind::PoolPolicy { policy: EvictionPolicy::Clock.code() },
                 EventKind::PoolClear { reset_stats: false },
                 EventKind::PoolClear { reset_stats: true },
             ]
@@ -963,9 +787,14 @@ mod tests {
 
     #[test]
     fn sharded_pool_keeps_every_page_fetchable_and_bounded() {
-        // Across shard counts, the pool serves correct pages and the
-        // resident count never exceeds the total capacity.
+        // Across shard counts, the pool serves correct pages through both
+        // `fetch` and `fetch_many`, the resident count never exceeds the
+        // total capacity, and every shard keeps evictions <= faults <=
+        // accesses.
         let n = 32;
+        // A batch with repeats and a reversed sweep, so `fetch_many` sees
+        // duplicate ids and intra-batch eviction pressure.
+        let batch: Vec<PageId> = (0..n as u32).rev().chain([5, 5, 17, 0, 17]).map(PageId).collect();
         for shards in [1usize, 2, 4, 8] {
             let pool = BufferPool::with_config(
                 disk_with_pages(n),
@@ -984,9 +813,17 @@ mod tests {
                 }
                 assert!(pool.resident_pages() <= 8, "shards={shards}");
             }
+            let pages = pool.fetch_many(&batch).unwrap();
+            for (id, page) in batch.iter().zip(&pages) {
+                assert_eq!(page, &direct[id.0 as usize], "shards={shards} batched page={id:?}");
+            }
+            assert!(pool.resident_pages() <= 8, "shards={shards}");
             let stats = pool.io_stats();
             assert_eq!(stats.per_shard.len(), shards);
-            assert_eq!(stats.total.accesses(), 3 * n as u64);
+            assert_eq!(stats.total.accesses(), (3 * n + batch.len()) as u64);
+            for s in stats.per_shard.iter().chain([&stats.total]) {
+                assert!(s.evictions <= s.faults && s.faults <= s.accesses(), "{s:?}");
+            }
             // Every page maps to exactly one shard, so per-shard accesses
             // partition the total.
             let mut rebuilt = ShardStats::default();
@@ -1169,32 +1006,27 @@ mod tests {
         // intra-batch eviction pressure, batched accounting is bit-identical
         // to the sequential loop (including duplicate-id handling).
         for (capacity, shards) in [(8usize, 1usize), (32, 4)] {
-            for policy in EvictionPolicy::ALL {
-                let config =
-                    BufferPoolConfig::new(capacity).with_shards(shards).with_policy(policy);
-                let batched =
-                    BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-                let sequential =
-                    BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-                let trace: Vec<Vec<u32>> =
-                    vec![vec![0, 1, 2], vec![1, 2, 5, 1], vec![7, 0, 7, 3, 2], vec![4, 4, 4]];
-                for batch in &trace {
-                    let ids: Vec<PageId> = batch.iter().map(|&i| PageId(i)).collect();
-                    let via_batch = batched.fetch_many(&ids).unwrap();
-                    let via_loop: Vec<Page> =
-                        ids.iter().map(|&id| sequential.fetch(id).unwrap()).collect();
-                    assert_eq!(via_batch, via_loop, "{policy}/{shards} shards: pages");
-                    assert_eq!(
-                        batched.io_stats().total,
-                        sequential.io_stats().total,
-                        "{policy}/{shards} shards: accounting after batch {batch:?}"
-                    );
-                    assert_eq!(
-                        batched.counters().snapshot(),
-                        sequential.counters().snapshot(),
-                        "{policy}/{shards} shards: thread-attributed accounting"
-                    );
-                }
+            let config = BufferPoolConfig::new(capacity).with_shards(shards);
+            let batched = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
+            let sequential = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
+            let trace: Vec<Vec<u32>> =
+                vec![vec![0, 1, 2], vec![1, 2, 5, 1], vec![7, 0, 7, 3, 2], vec![4, 4, 4]];
+            for batch in &trace {
+                let ids: Vec<PageId> = batch.iter().map(|&i| PageId(i)).collect();
+                let via_batch = batched.fetch_many(&ids).unwrap();
+                let via_loop: Vec<Page> =
+                    ids.iter().map(|&id| sequential.fetch(id).unwrap()).collect();
+                assert_eq!(via_batch, via_loop, "{shards} shards: pages");
+                assert_eq!(
+                    batched.io_stats().total,
+                    sequential.io_stats().total,
+                    "{shards} shards: accounting after batch {batch:?}"
+                );
+                assert_eq!(
+                    batched.counters().snapshot(),
+                    sequential.counters().snapshot(),
+                    "{shards} shards: thread-attributed accounting"
+                );
             }
         }
     }
@@ -1208,36 +1040,27 @@ mod tests {
         // stay byte-identical to the loop in every cell.
         let trace: Vec<Vec<u32>> =
             vec![vec![0, 1, 2], vec![1, 2, 5, 1], vec![7, 0, 7, 3, 2], vec![4, 4, 4]];
-        for policy in EvictionPolicy::ALL {
-            let config = BufferPoolConfig::new(4).with_policy(policy);
-            let batched = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-            let sequential = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-            for batch in &trace {
-                let ids: Vec<PageId> = batch.iter().map(|&i| PageId(i)).collect();
-                let via_batch = batched.fetch_many(&ids).unwrap();
-                let via_loop: Vec<Page> =
-                    ids.iter().map(|&id| sequential.fetch(id).unwrap()).collect();
-                assert_eq!(via_batch, via_loop, "{policy}: pages under pressure");
-            }
-            let b = batched.io_stats().total;
-            let s = sequential.io_stats().total;
-            assert_eq!(b.accesses(), s.accesses(), "{policy}: one access per id either way");
-            assert!(b.faults <= s.faults, "{policy}: batch never faults more than the loop");
-            assert!(b.evictions <= b.faults, "{policy}: demand invariant holds");
-            assert_eq!(batched.counters().snapshot(), b.as_io_stats(), "{policy}: views agree");
-        }
-        // Pin the exact LRU single-shard numbers so the snapshot semantics
-        // are a documented contract, not an accident: hand-replaying the
-        // trace gives hits 8 / faults 7 / evictions 3 batched vs
-        // hits 6 / faults 9 / evictions 5 sequentially.
         let config = BufferPoolConfig::new(4);
-        let pool = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
+        let batched = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
+        let sequential = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
         for batch in &trace {
             let ids: Vec<PageId> = batch.iter().map(|&i| PageId(i)).collect();
-            pool.fetch_many(&ids).unwrap();
+            let via_batch = batched.fetch_many(&ids).unwrap();
+            let via_loop: Vec<Page> = ids.iter().map(|&id| sequential.fetch(id).unwrap()).collect();
+            assert_eq!(via_batch, via_loop, "pages under pressure");
         }
-        let t = pool.io_stats().total;
-        assert_eq!((t.hits, t.faults, t.evictions), (8, 7, 3));
+        let b = batched.io_stats().total;
+        let s = sequential.io_stats().total;
+        assert_eq!(b.accesses(), s.accesses(), "one access per id either way");
+        assert!(b.faults <= s.faults, "batch never faults more than the loop");
+        assert!(b.evictions <= b.faults, "eviction invariant holds");
+        assert_eq!(batched.counters().snapshot(), b.as_io_stats(), "views agree");
+        // Pin the exact single-shard numbers so the snapshot semantics are a
+        // documented contract, not an accident: hand-replaying the trace
+        // gives hits 8 / faults 7 / evictions 3 batched vs hits 6 / faults 9
+        // / evictions 5 sequentially.
+        assert_eq!((b.hits, b.faults, b.evictions), (8, 7, 3));
+        assert_eq!((s.hits, s.faults, s.evictions), (6, 9, 5));
     }
 
     #[test]
@@ -1251,159 +1074,6 @@ mod tests {
         assert_eq!(s.accesses, 3);
         assert_eq!(s.faults, 3, "no buffer: every batched access faults");
         assert!(pool.fetch_many(&[PageId(9)]).is_err(), "out-of-bounds still errors");
-    }
-
-    #[test]
-    fn prefetch_is_invisible_to_demand_accounting() {
-        for policy in EvictionPolicy::ALL {
-            let config = BufferPoolConfig::new(4).with_policy(policy);
-            let pool = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-            pool.prefetch(&[PageId(0), PageId(1), PageId(1)]);
-            let t = pool.io_stats().total;
-            assert_eq!(t.as_io_stats(), IoStats::default(), "{policy}: no demand activity");
-            assert_eq!(t.prefetch_issued, 2, "{policy}: duplicate hint reads once");
-            assert_eq!(pool.counters().snapshot(), IoStats::default(), "{policy}");
-            assert_eq!(pool.resident_pages(), 2, "{policy}");
-
-            // Demand use turns the speculative read useful — and counts as a
-            // hit, not a fault.
-            pool.fetch(PageId(0)).unwrap();
-            let t = pool.io_stats().total;
-            assert_eq!((t.hits, t.faults), (1, 0), "{policy}");
-            assert_eq!(t.prefetch_useful, 1, "{policy}");
-            // Prefetching a resident page is a no-op.
-            pool.prefetch(&[PageId(0)]);
-            assert_eq!(pool.io_stats().total.prefetch_issued, 2, "{policy}");
-            // Out-of-bounds hints are swallowed.
-            pool.prefetch(&[PageId(100)]);
-            assert_eq!(pool.io_stats().total.prefetch_issued, 2, "{policy}");
-
-            // Flood the pool with speculative pages: the unused one from the
-            // start gets displaced eventually and turns wasted; demand
-            // eviction counters stay untouched throughout.
-            pool.prefetch(&[PageId(2), PageId(3), PageId(4), PageId(5), PageId(6)]);
-            let t = pool.io_stats().total;
-            assert_eq!(t.evictions, 0, "{policy}: speculative displacement is not an eviction");
-            assert!(
-                t.prefetch_wasted >= 1,
-                "{policy}: the overflow dropped an unused prefetched page"
-            );
-            assert!(
-                t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued,
-                "{policy}: each issued page decides at most once"
-            );
-        }
-    }
-
-    #[test]
-    fn prefetch_on_zero_capacity_pool_is_a_no_op() {
-        let pool = BufferPool::new(disk_with_pages(4), 0, IoCounters::new());
-        pool.prefetch(&[PageId(0), PageId(1)]);
-        assert_eq!(pool.io_stats().total, ShardStats::default());
-        assert_eq!(pool.resident_pages(), 0);
-    }
-
-    #[test]
-    fn resize_shrink_drains_by_the_policy_victim_order() {
-        // Clock: a hit on an already-referenced page is a no-op, so the
-        // shrink drains in ring order (0, 1) — where LRU would have promoted
-        // the re-hit page 0 and kept it. This pins the drain to the clock
-        // sweep, not the LRU recency cut.
-        let config = BufferPoolConfig::new(4).with_policy(EvictionPolicy::Clock);
-        let pool = BufferPool::with_config(disk_with_pages(6), config, IoCounters::new());
-        for i in [0u32, 1, 2, 3] {
-            pool.fetch(PageId(i)).unwrap();
-        }
-        pool.fetch(PageId(0)).unwrap(); // LRU would move 0 to MRU; clock does nothing
-        let before = totals(&pool);
-        pool.resize(2);
-        assert_eq!(pool.resident_pages(), 2);
-        assert_eq!(totals(&pool), before, "resize drains are not evictions");
-        pool.fetch(PageId(2)).unwrap();
-        pool.fetch(PageId(3)).unwrap();
-        assert_eq!(totals(&pool).faults, before.faults, "2 and 3 survived the clock shrink");
-        pool.fetch(PageId(0)).unwrap();
-        assert_eq!(
-            totals(&pool).faults,
-            before.faults + 1,
-            "0 was drained in ring order despite its recent hit (LRU would have kept it)"
-        );
-
-        // 2Q: the protected queue survives a shrink while probation drains
-        // first.
-        let config = BufferPoolConfig::new(4).with_policy(EvictionPolicy::TwoQ);
-        let pool = BufferPool::with_config(disk_with_pages(8), config, IoCounters::new());
-        for i in [0u32, 1, 2, 3] {
-            pool.fetch(PageId(i)).unwrap(); // probation: 0..3
-        }
-        pool.fetch(PageId(4)).unwrap(); // evicts 0 to ghost (kin = 1)
-        pool.fetch(PageId(0)).unwrap(); // ghost hit: 0 joins the protected queue
-        let before = totals(&pool);
-        pool.resize(2);
-        assert_eq!(pool.resident_pages(), 2);
-        pool.fetch(PageId(0)).unwrap();
-        assert_eq!(totals(&pool).faults, before.faults, "the protected page survived");
-    }
-
-    #[test]
-    fn set_policy_preserves_residency_and_counters() {
-        let pool = BufferPool::new(disk_with_pages(6), 4, IoCounters::new());
-        for i in [0u32, 1, 2, 3] {
-            pool.fetch(PageId(i)).unwrap();
-        }
-        pool.prefetch(&[PageId(4)]);
-        let before = pool.io_stats().total;
-        assert_eq!(pool.policy(), EvictionPolicy::Lru);
-        pool.set_policy(EvictionPolicy::TwoQ);
-        assert_eq!(pool.policy(), EvictionPolicy::TwoQ);
-        assert_eq!(pool.io_stats().total, before, "a policy switch is not demand activity");
-        // Capacity 4 with one page prefetched: the switch drained one page
-        // (the over-capacity probation insert) or kept all — either way the
-        // demand pages 1..3 and the accounting invariants must hold.
-        assert!(pool.resident_pages() <= 4);
-        pool.set_policy(EvictionPolicy::TwoQ); // same-policy switch is a no-op
-        let t = pool.io_stats().total;
-        assert!(t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued);
-        // Every page still serves correct bytes afterwards.
-        for i in 0..6u32 {
-            let got = pool.fetch(PageId(i)).unwrap();
-            assert_eq!(got.records(PageId(i)).unwrap()[0].node, NodeId(i));
-        }
-    }
-
-    #[test]
-    fn clock_and_twoq_pools_serve_correct_pages_under_concurrency() {
-        use std::sync::Arc;
-        for policy in [EvictionPolicy::Clock, EvictionPolicy::TwoQ] {
-            let config = BufferPoolConfig::new(6).with_shards(4).with_policy(policy);
-            let pool =
-                Arc::new(BufferPool::with_config(disk_with_pages(16), config, IoCounters::new()));
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let pool = Arc::clone(&pool);
-                    std::thread::spawn(move || {
-                        for i in 0..300 {
-                            let id = PageId(((t * 5 + i) % 16) as u32);
-                            if i % 7 == 0 {
-                                pool.prefetch(&[PageId(((t * 5 + i + 1) % 16) as u32)]);
-                            }
-                            let page = pool.fetch(id).unwrap();
-                            assert_eq!(page.records(id).unwrap()[0].node, NodeId(id.0));
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let t = pool.io_stats().total;
-            assert_eq!(t.accesses(), 1200, "{policy}");
-            assert!(t.evictions <= t.faults, "{policy}");
-            assert!(t.faults <= t.accesses(), "{policy}");
-            assert!(t.prefetch_useful + t.prefetch_wasted <= t.prefetch_issued, "{policy}");
-            assert_eq!(t.as_io_stats(), pool.counters().snapshot(), "{policy}");
-            assert!(pool.resident_pages() <= 6, "{policy}");
-        }
     }
 
     #[test]
@@ -1431,7 +1101,6 @@ mod tests {
                 hits: 0,
                 faults: num_pages as u64,
                 evictions: (num_pages as u64) - capacity as u64,
-                ..ShardStats::default()
             };
             assert_eq!(pool.io_stats().total, full_stats, "round {round}");
 

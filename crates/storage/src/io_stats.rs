@@ -769,15 +769,20 @@ mod tests {
                 let c = c.clone();
                 let stop = Arc::clone(&stop);
                 scope.spawn(move || {
+                    // Check before testing `stop`, so the poller takes at
+                    // least one snapshot even when it is scheduled only
+                    // after the recorders finished.
                     let mut polls = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let s = c.snapshot();
                         assert!(s.evictions <= s.faults, "torn snapshot: {s:?}");
                         assert!(s.faults <= s.accesses, "torn snapshot: {s:?}");
                         assert!(s.accesses <= 4 * ROUNDS, "over-counted snapshot: {s:?}");
                         polls += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            break polls;
+                        }
                     }
-                    polls
                 })
             };
             let flagger = {

@@ -21,13 +21,10 @@
 //! * [`lru`] — the workspace's one generic LRU ([`Lru`]): slot vector plus
 //!   intrusive recency list, shared by the buffer pool and `rnn-core`'s
 //!   result cache.
-//! * [`buffer`] — the striped buffer manager ([`BufferPool`]): capacity
+//! * [`buffer`] — the striped LRU buffer manager ([`BufferPool`]): capacity
 //!   split over independently locked shards ([`BufferPoolConfig`]) with
-//!   exact per-shard access/fault/eviction accounting ([`ShardStats`]),
-//!   batched fetches and speculative prefetch with its own accounting.
-//! * [`policy`] — pluggable page-eviction policies ([`EvictionPolicy`]):
-//!   exact LRU (default, the paper's buffer), Clock (second-chance) and 2Q
-//!   (scan-resistant).
+//!   exact per-shard access/fault/eviction accounting ([`ShardStats`]) and
+//!   batched fetches. Pages are read on demand only.
 //! * [`node_index`] — the node-id index ([`NodeIndex`]): page plus byte
 //!   offset of every node's record, so a fetch decodes one record.
 //! * [`paged_graph`] — [`PagedGraph`], which ties everything together and
@@ -55,7 +52,6 @@ pub mod metrics;
 pub mod node_index;
 pub mod page;
 pub mod paged_graph;
-pub mod policy;
 
 pub use buffer::{BufferPool, BufferPoolConfig, BufferPoolStats, ShardStats};
 pub use disk::{FileDisk, MemoryDisk, PageStore};
@@ -67,4 +63,3 @@ pub use metrics::{register_buffer_pool, register_io_counters};
 pub use node_index::{NodeIndex, NodeIndexEntry};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use paged_graph::{PagedGraph, StorageControl};
-pub use policy::EvictionPolicy;

@@ -4,7 +4,10 @@
 //! result cache (outcomes keyed by `(algorithm, query, k)`) need the same
 //! structure: a bounded map with O(1) lookup that evicts the least recently
 //! used entry when full. [`Lru`] is that structure, extracted so it is written
-//! — and unit-tested for its exact victim order — exactly once.
+//! — and unit-tested for its exact victim order — exactly once. It is the
+//! buffer pool's only eviction policy: every shard of a
+//! [`crate::BufferPool`] holds one `Lru<PageId, Page>` directly, as the
+//! paper's buffer does.
 //!
 //! Entries live in a slot vector linked into an intrusive doubly-linked
 //! recency list by index (no per-entry allocation); a hash map points keys at
@@ -128,22 +131,6 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
         self.map.get(key).map(|&i| &self.slots[i].value)
     }
 
-    /// Like [`Lru::get`], but returns a mutable reference (the entry is
-    /// marked most recently used exactly as `get` does).
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let &i = self.map.get(key)?;
-        self.touch(i);
-        Some(&mut self.slots[i].value)
-    }
-
-    /// Like [`Lru::peek`], but returns a mutable reference — the recency
-    /// order is *not* touched. Used by caches that update per-entry metadata
-    /// (e.g. a prefetched flag) without promoting the entry.
-    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
-        let &i = self.map.get(key)?;
-        Some(&mut self.slots[i].value)
-    }
-
     /// Inserts (or refreshes) an entry, marking it most recently used.
     ///
     /// Returns the evicted `(key, value)` pair when the insert pushed the
@@ -176,41 +163,6 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
         self.map.remove(&old_key);
         self.map.insert(key, victim);
         self.push_front(victim);
-        Some((old_key, old_value))
-    }
-
-    /// Inserts an entry at the **least** recently used position — the cold
-    /// end of the list, so it is the next victim unless it is touched first.
-    ///
-    /// This is how speculative (prefetched) pages are admitted: they must
-    /// not displace the recency standing of demand-fetched entries. An
-    /// existing key has its value replaced in place *without* touching
-    /// recency; a full cache evicts its current victim to make room (the
-    /// evicted pair is returned), and `capacity == 0` drops the entry.
-    pub fn insert_cold(&mut self, key: K, value: V) -> Option<(K, V)> {
-        if self.capacity == 0 {
-            return None;
-        }
-        if let Some(&i) = self.map.get(&key) {
-            self.slots[i].value = value;
-            return None;
-        }
-        if self.slots.len() < self.capacity {
-            let i = self.slots.len();
-            self.slots.push(Slot { key: key.clone(), value, prev: NIL, next: NIL });
-            self.map.insert(key, i);
-            self.push_back(i);
-            return None;
-        }
-        // Evict the current victim and reuse its slot at the cold end.
-        let victim = self.tail;
-        debug_assert_ne!(victim, NIL, "a full non-zero-capacity LRU has a tail");
-        self.unlink(victim);
-        let old_key = std::mem::replace(&mut self.slots[victim].key, key.clone());
-        let old_value = std::mem::replace(&mut self.slots[victim].value, value);
-        self.map.remove(&old_key);
-        self.map.insert(key, victim);
-        self.push_back(victim);
         Some((old_key, old_value))
     }
 
@@ -288,18 +240,6 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
         }
         self.slots[i].prev = NIL;
         self.slots[i].next = NIL;
-    }
-
-    fn push_back(&mut self, i: usize) {
-        self.slots[i].next = NIL;
-        self.slots[i].prev = self.tail;
-        if self.tail != NIL {
-            self.slots[self.tail].next = i;
-        }
-        self.tail = i;
-        if self.head == NIL {
-            self.head = i;
-        }
     }
 
     fn push_front(&mut self, i: usize) {
@@ -481,55 +421,6 @@ mod tests {
         assert!(c.contains(&0));
         // 0 is still the LRU entry: the peek must not have promoted it.
         assert_eq!(c.insert(2, val(2)), Some((0, val(0))));
-    }
-
-    #[test]
-    fn get_mut_touches_recency_and_peek_mut_does_not() {
-        let mut c = lru(2);
-        c.insert(0, val(0));
-        c.insert(1, val(1)); // [1, 0]
-        *c.peek_mut(&0).unwrap() = "peeked".to_string();
-        // 0 is still the LRU entry: peek_mut must not have promoted it.
-        assert_eq!(c.keys_mru_to_lru(), vec![1, 0]);
-        *c.get_mut(&0).unwrap() = "touched".to_string();
-        assert_eq!(c.keys_mru_to_lru(), vec![0, 1], "get_mut promotes like get");
-        assert_eq!(c.peek(&0), Some(&"touched".to_string()));
-        assert_eq!(c.get_mut(&9), None);
-        assert_eq!(c.peek_mut(&9), None);
-    }
-
-    #[test]
-    fn insert_cold_lands_at_the_victim_end() {
-        let mut c = lru(3);
-        c.insert(0, val(0));
-        c.insert(1, val(1)); // [1, 0]
-        assert!(c.insert_cold(7, val(7)).is_none(), "below capacity: nothing evicted");
-        assert_eq!(c.keys_mru_to_lru(), vec![1, 0, 7], "cold entry is the next victim");
-        // A full cache evicts its current victim (the cold entry itself) to
-        // admit the next cold insert at the tail.
-        assert_eq!(c.insert_cold(8, val(8)), Some((7, val(7))));
-        assert_eq!(c.keys_mru_to_lru(), vec![1, 0, 8]);
-        // A touch rescues a cold entry like any other.
-        assert_eq!(c.get(&8), Some(&val(8)));
-        assert_eq!(c.insert(2, val(2)), Some((0, val(0))), "0 became the victim");
-        // Refreshing an existing key in place does not move it.
-        assert!(c.insert_cold(8, "fresh".to_string()).is_none());
-        assert_eq!(c.keys_mru_to_lru(), vec![2, 8, 1]);
-        assert_eq!(c.peek(&8), Some(&"fresh".to_string()));
-        // Capacity zero drops cold inserts like ordinary ones.
-        let mut z = lru(0);
-        assert!(z.insert_cold(1, val(1)).is_none());
-        assert!(z.is_empty());
-    }
-
-    #[test]
-    fn insert_cold_into_an_empty_cache_links_head_and_tail() {
-        let mut c = lru(2);
-        assert!(c.insert_cold(5, val(5)).is_none());
-        assert_eq!(c.keys_mru_to_lru(), vec![5]);
-        assert_eq!(c.get(&5), Some(&val(5)));
-        assert_eq!(c.pop_lru(), Some((5, val(5))));
-        assert_eq!(c.pop_lru(), None);
     }
 
     #[test]

@@ -52,12 +52,10 @@ pub fn register_io_counters(registry: &MetricsRegistry, pool: &str, counters: &I
 ///
 /// Emits, per snapshot, gauges for the pool's shape —
 /// `rnn_buffer_pool_capacity_pages`, `rnn_buffer_pool_shards`,
-/// `rnn_buffer_pool_resident_pages`, plus `rnn_buffer_pool_policy` (the
-/// [`crate::EvictionPolicy::code`] of the active eviction policy) — then
-/// hit/fault/eviction and `prefetch_{issued,useful,wasted}` counters for the
-/// pool total, and per shard the same counters plus a
-/// `rnn_buffer_pool_shard_hit_rate_permille` gauge (demand hits per 1000
-/// demand accesses; 0 when the shard is untouched)
+/// `rnn_buffer_pool_resident_pages` — then hit/fault/eviction counters for
+/// the pool total, and per shard the same counters plus a
+/// `rnn_buffer_pool_shard_hit_rate_permille` gauge (hits per 1000 accesses;
+/// 0 when the shard is untouched)
 /// (`rnn_buffer_pool_shard_hits_total{pool="<pool>",shard="0"}`, …). All
 /// counters of one snapshot come from a single [`BufferPool::io_stats`]
 /// call, which holds every shard lock, so the per-shard breakdown always
@@ -79,7 +77,6 @@ where
             buffer.capacity() as u64,
         );
         set.gauge(&format!("rnn_buffer_pool_shards{{pool=\"{p}\"}}"), buffer.num_shards() as u64);
-        set.gauge(&format!("rnn_buffer_pool_policy{{pool=\"{p}\"}}"), buffer.policy().code());
         let stats = buffer.io_stats();
         // `resident_pages` re-locks the shards, but the gauge is advisory
         // (it may lag `stats` by concurrent fetches); the counters below all
@@ -94,18 +91,6 @@ where
             &format!("rnn_buffer_pool_evictions_total{{pool=\"{p}\"}}"),
             stats.total.evictions,
         );
-        set.counter(
-            &format!("rnn_buffer_pool_prefetch_issued_total{{pool=\"{p}\"}}"),
-            stats.total.prefetch_issued,
-        );
-        set.counter(
-            &format!("rnn_buffer_pool_prefetch_useful_total{{pool=\"{p}\"}}"),
-            stats.total.prefetch_useful,
-        );
-        set.counter(
-            &format!("rnn_buffer_pool_prefetch_wasted_total{{pool=\"{p}\"}}"),
-            stats.total.prefetch_wasted,
-        );
         for (i, shard) in stats.per_shard.iter().enumerate() {
             set.counter(
                 &format!("rnn_buffer_pool_shard_hits_total{{pool=\"{p}\",shard=\"{i}\"}}"),
@@ -118,24 +103,6 @@ where
             set.counter(
                 &format!("rnn_buffer_pool_shard_evictions_total{{pool=\"{p}\",shard=\"{i}\"}}"),
                 shard.evictions,
-            );
-            set.counter(
-                &format!(
-                    "rnn_buffer_pool_shard_prefetch_issued_total{{pool=\"{p}\",shard=\"{i}\"}}"
-                ),
-                shard.prefetch_issued,
-            );
-            set.counter(
-                &format!(
-                    "rnn_buffer_pool_shard_prefetch_useful_total{{pool=\"{p}\",shard=\"{i}\"}}"
-                ),
-                shard.prefetch_useful,
-            );
-            set.counter(
-                &format!(
-                    "rnn_buffer_pool_shard_prefetch_wasted_total{{pool=\"{p}\",shard=\"{i}\"}}"
-                ),
-                shard.prefetch_wasted,
             );
             set.gauge(
                 &format!("rnn_buffer_pool_shard_hit_rate_permille{{pool=\"{p}\",shard=\"{i}\"}}"),
@@ -208,7 +175,6 @@ mod tests {
         ));
         register_buffer_pool(&registry, "graph", &pool);
 
-        pool.prefetch(&[PageId::new(0)]);
         for id in [0, 1, 0, 2, 3, 4, 5, 6, 7, 0] {
             pool.fetch(PageId::new(id)).unwrap();
         }
@@ -218,13 +184,6 @@ mod tests {
         assert_eq!(g("rnn_buffer_pool_capacity_pages{pool=\"graph\"}"), 4);
         assert_eq!(g("rnn_buffer_pool_shards{pool=\"graph\"}"), 2);
         assert!(g("rnn_buffer_pool_resident_pages{pool=\"graph\"}") <= 4);
-        assert_eq!(g("rnn_buffer_pool_policy{pool=\"graph\"}"), crate::EvictionPolicy::Lru.code());
-        assert_eq!(c("rnn_buffer_pool_prefetch_issued_total{pool=\"graph\"}"), 1);
-        assert_eq!(
-            c("rnn_buffer_pool_prefetch_useful_total{pool=\"graph\"}"),
-            1,
-            "the prefetched page 0 served its first demand access"
-        );
 
         let hits = c("rnn_buffer_pool_hits_total{pool=\"graph\"}");
         let faults = c("rnn_buffer_pool_faults_total{pool=\"graph\"}");

@@ -1,18 +1,19 @@
 //! The disk-page backed graph view.
 //!
-//! [`PagedGraph`] combines a page store, the node-id index and an LRU buffer
-//! into a [`Topology`] implementation. Query algorithms written against the
-//! `Topology` trait run unchanged on a `PagedGraph`; the only difference from
-//! the in-memory [`rnn_graph::Graph`] is that every adjacency fetch goes
-//! through the buffer and is accounted for in [`IoStats`]. This is the
-//! component the paper's experiments measure.
+//! [`PagedGraph`] combines a page store, the node-id index and a striped LRU
+//! buffer into a [`Topology`] implementation. Query algorithms written
+//! against the `Topology` trait run unchanged on a `PagedGraph`; the only
+//! difference from the in-memory [`rnn_graph::Graph`] is that every
+//! adjacency fetch goes through the buffer and is accounted for in
+//! [`IoStats`]. This is the component the paper's experiments measure.
 //!
 //! A fetch looks the node up in the [`NodeIndex`], which points at its
 //! record by page and byte offset, accesses that page (or the pages of a
 //! hub's multi-page span) through the buffer, and decodes the one record
 //! with [`crate::Page::record_at`]. The buffer sees exactly one access per
 //! page of the record, so the paper's accesses, faults and evictions do not
-//! depend on how the record is found within its page.
+//! depend on how the record is found within its page. Pages are read only
+//! when a fetch misses the buffer; nothing is read ahead.
 
 use crate::buffer::{BufferPool, BufferPoolConfig, BufferPoolStats};
 use crate::disk::{MemoryDisk, PageStore};
@@ -21,28 +22,14 @@ use crate::io_stats::{IoCounters, IoStats};
 use crate::layout::{LayoutStrategy, PageLayout};
 use crate::node_index::NodeIndex;
 use crate::page::{PageEntry, PageId};
-use crate::policy::EvictionPolicy;
 use rnn_graph::{Graph, Neighbor, NodeId, Topology};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-thread_local! {
-    /// Scratch for translating prefetch-hint nodes to page ids, reused
-    /// across hints to avoid per-call allocation.
-    static HINT_SCRATCH: RefCell<Vec<PageId>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A graph stored on simulated disk pages and read through a striped,
-/// policy-driven page buffer.
+/// A graph stored on simulated disk pages and read through a striped LRU
+/// page buffer.
 pub struct PagedGraph<S: PageStore = MemoryDisk> {
     buffer: BufferPool<S>,
     index: NodeIndex,
     num_nodes: usize,
-    /// Whether expansion loops should send frontier prefetch hints
-    /// ([`Topology::wants_prefetch_hints`]). Off by default: hints are an
-    /// opt-in speculation knob, and the paper's accounting is exactly
-    /// reproduced with them off.
-    prefetch: AtomicBool,
 }
 
 impl PagedGraph<MemoryDisk> {
@@ -81,12 +68,7 @@ impl PagedGraph<MemoryDisk> {
         let layout = PageLayout::build(graph, strategy)?;
         let disk = MemoryDisk::new(layout.pages);
         let buffer = BufferPool::with_config(disk, config, counters);
-        Ok(PagedGraph {
-            buffer,
-            index: layout.index,
-            num_nodes: graph.num_nodes(),
-            prefetch: AtomicBool::new(false),
-        })
+        Ok(PagedGraph { buffer, index: layout.index, num_nodes: graph.num_nodes() })
     }
 }
 
@@ -94,28 +76,7 @@ impl<S: PageStore> PagedGraph<S> {
     /// Assembles a paged graph from pre-built parts (e.g. a [`crate::FileDisk`]
     /// store opened from an existing page file).
     pub fn from_parts(buffer: BufferPool<S>, index: NodeIndex, num_nodes: usize) -> Self {
-        PagedGraph { buffer, index, num_nodes, prefetch: AtomicBool::new(false) }
-    }
-
-    /// Builder-style [`PagedGraph::set_prefetch`].
-    pub fn with_prefetch(self, enabled: bool) -> Self {
-        self.set_prefetch(enabled);
-        self
-    }
-
-    /// Enables or disables expansion-frontier prefetch hints at runtime.
-    ///
-    /// When enabled, [`Topology::wants_prefetch_hints`] returns `true` and
-    /// hinted nodes' pages are speculatively faulted in through
-    /// [`BufferPool::prefetch`] — never changing results or demand
-    /// accounting, only the pool's separate `prefetch_*` counters.
-    pub fn set_prefetch(&self, enabled: bool) {
-        self.prefetch.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether prefetch hints are currently enabled.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch.load(Ordering::Relaxed)
+        PagedGraph { buffer, index, num_nodes }
     }
 
     /// The underlying buffer pool.
@@ -214,59 +175,17 @@ impl<S: PageStore> Topology for PagedGraph<S> {
         self.fetch_neighbors(node, visit)
             .expect("pages built by PageLayout are well formed and in bounds");
     }
-
-    fn wants_prefetch_hints(&self) -> bool {
-        self.prefetch_enabled()
-    }
-
-    fn prefetch_hint(&self, nodes: &[NodeId]) {
-        if nodes.is_empty() || !self.prefetch_enabled() {
-            return;
-        }
-        // Translate hinted nodes to the pages holding their adjacency lists
-        // and fault them in speculatively. Best effort by contract: demand
-        // accounting and results are untouched ([`BufferPool::prefetch`]
-        // only moves `prefetch_*` counters).
-        let mut scratch = HINT_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-        scratch.clear();
-        for &node in nodes {
-            if node.index() < self.num_nodes {
-                scratch.extend(self.index.entry(node).pages());
-            }
-        }
-        self.buffer.prefetch(&scratch);
-        HINT_SCRATCH.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            if slot.capacity() < scratch.capacity() {
-                *slot = scratch;
-            }
-        });
-    }
 }
 
-/// Runtime tuning and introspection of a paged storage backend.
+/// Introspection of a paged storage backend.
 ///
 /// The serving layer (`rnn-server`) keeps its storage backend behind this
-/// object-safe trait so configuration knobs — eviction policy, frontier
-/// prefetch — can be applied without knowing the concrete [`PageStore`]
-/// type, mirroring how query algorithms only see [`Topology`]. All methods
-/// take `&self`: the handle is shared with live query traffic and every
-/// operation is safe to apply while queries run (policy switches drain and
-/// re-admit resident pages without changing demand counters).
+/// object-safe trait so it can export buffer telemetry and attach its
+/// flight recorder without knowing the concrete [`PageStore`] type,
+/// mirroring how query algorithms only see [`Topology`]. All methods take
+/// `&self`: the handle is shared with live query traffic and every
+/// operation is safe to apply while queries run.
 pub trait StorageControl: Send + Sync {
-    /// The eviction policy currently driving the page buffer.
-    fn policy(&self) -> EvictionPolicy;
-
-    /// Switches the buffer's eviction policy at runtime, preserving resident
-    /// pages and all accounting ([`BufferPool::set_policy`]).
-    fn set_policy(&self, policy: EvictionPolicy);
-
-    /// Whether expansion-frontier prefetch hints are enabled.
-    fn prefetch_enabled(&self) -> bool;
-
-    /// Enables or disables expansion-frontier prefetch hints.
-    fn set_prefetch(&self, enabled: bool);
-
     /// Per-shard counter breakdown plus merged totals of the page buffer.
     fn pool_stats(&self) -> BufferPoolStats;
 
@@ -279,8 +198,8 @@ pub trait StorageControl: Send + Sync {
     /// Number of pages currently resident in the buffer.
     fn resident_pages(&self) -> usize;
 
-    /// Attaches a flight recorder to the backend's control plane: resize,
-    /// policy-switch and clear operations then append structured events
+    /// Attaches a flight recorder to the backend's control plane: resize
+    /// and clear operations then append structured events
     /// ([`rnn_obs::EventKind::PoolResize`] and friends) so runtime tuning
     /// shows up on the serving layer's event timeline. The default
     /// implementation ignores the sink (for backends with no control-plane
@@ -291,22 +210,6 @@ pub trait StorageControl: Send + Sync {
 }
 
 impl<S: PageStore + Send> StorageControl for PagedGraph<S> {
-    fn policy(&self) -> EvictionPolicy {
-        self.buffer.policy()
-    }
-
-    fn set_policy(&self, policy: EvictionPolicy) {
-        self.buffer.set_policy(policy);
-    }
-
-    fn prefetch_enabled(&self) -> bool {
-        PagedGraph::prefetch_enabled(self)
-    }
-
-    fn set_prefetch(&self, enabled: bool) {
-        PagedGraph::set_prefetch(self, enabled);
-    }
-
     fn pool_stats(&self) -> BufferPoolStats {
         PagedGraph::pool_stats(self)
     }
@@ -334,8 +237,6 @@ impl<S: PageStore> std::fmt::Debug for PagedGraph<S> {
             .field("num_nodes", &self.num_nodes)
             .field("num_pages", &self.num_pages())
             .field("buffer_capacity", &self.buffer_capacity())
-            .field("policy", &self.buffer.policy())
-            .field("prefetch", &self.prefetch_enabled())
             .field("io", &self.io_stats())
             .finish()
     }
@@ -478,76 +379,6 @@ mod tests {
         pg.cold_start();
         assert_eq!(pg.io_stats(), IoStats::default());
         assert_eq!(pg.pool_stats().total, crate::ShardStats::default());
-    }
-
-    #[test]
-    fn prefetch_hints_warm_the_buffer_without_demand_accounting() {
-        let g = grid_graph(10);
-        let pg = PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 16, IoCounters::new())
-            .unwrap()
-            .with_prefetch(true);
-        assert!(Topology::wants_prefetch_hints(&pg));
-
-        let node = NodeId::new(42);
-        Topology::prefetch_hint(&pg, &[node]);
-        let after_hint = pg.pool_stats().total;
-        assert!(after_hint.prefetch_issued >= 1);
-        assert_eq!(after_hint.accesses(), 0, "hints must not count as demand accesses");
-        assert_eq!(after_hint.faults, 0, "hints must not count as demand faults");
-        assert_eq!(pg.io_stats(), IoStats::default());
-
-        // The demand fetch now hits the prefetched page: no fault, and the
-        // speculation is credited as useful.
-        assert_eq!(pg.neighbors_vec(node), g.neighbors_vec(node));
-        let warm = pg.pool_stats().total;
-        assert_eq!(warm.faults, 0, "prefetched page serves the demand fetch");
-        assert!(warm.prefetch_useful >= 1);
-    }
-
-    #[test]
-    fn prefetch_hints_are_a_no_op_when_disabled_or_out_of_range() {
-        let g = grid_graph(6);
-        let pg =
-            PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 8, IoCounters::new()).unwrap();
-        assert!(!Topology::wants_prefetch_hints(&pg));
-        Topology::prefetch_hint(&pg, &[NodeId::new(0)]);
-        assert_eq!(pg.pool_stats().total.prefetch_issued, 0, "disabled hints do nothing");
-
-        pg.set_prefetch(true);
-        // Out-of-range nodes are silently skipped; in-range ones still land.
-        Topology::prefetch_hint(&pg, &[NodeId::new(1_000_000), NodeId::new(3)]);
-        assert!(pg.pool_stats().total.prefetch_issued >= 1);
-        assert_eq!(pg.io_stats(), IoStats::default());
-    }
-
-    #[test]
-    fn storage_control_tunes_policy_and_prefetch_through_dyn_handle() {
-        let g = grid_graph(8);
-        let pg =
-            PagedGraph::build_with(&g, LayoutStrategy::BfsLocality, 8, IoCounters::new()).unwrap();
-        for v in g.node_ids() {
-            pg.neighbors_vec(v);
-        }
-        let ctl: &dyn StorageControl = &pg;
-        assert_eq!(ctl.policy(), EvictionPolicy::Lru);
-        assert!(!ctl.prefetch_enabled());
-        assert_eq!(ctl.buffer_capacity(), 8);
-        assert_eq!(ctl.num_shards(), 1);
-        assert!(ctl.resident_pages() > 0);
-
-        let before = ctl.pool_stats().total;
-        ctl.set_policy(EvictionPolicy::TwoQ);
-        ctl.set_prefetch(true);
-        assert_eq!(ctl.policy(), EvictionPolicy::TwoQ);
-        assert!(ctl.prefetch_enabled());
-        // The switch preserves residency and accounting, and queries still
-        // return in-memory-identical results.
-        assert_eq!(ctl.pool_stats().total, before);
-        for v in g.node_ids() {
-            assert_eq!(pg.neighbors_vec(v), g.neighbors_vec(v), "node {v}");
-        }
-        let dbg = format!("{pg:?}");
-        assert!(dbg.contains("2q") || dbg.contains("TwoQ"), "Debug shows the policy: {dbg}");
     }
 
     #[test]

@@ -1,168 +1,17 @@
-//! Property tests for the pluggable eviction policies and the prefetch
-//! path: arbitrary access traces replayed under every policy × shard count ×
-//! prefetch setting keep the accounting invariants and the page contents
-//! intact, query results never depend on the policy, `shards=1` LRU stays
-//! bit-compatible with the seed victim model, and 2Q is scan-resistant where
-//! LRU is not.
+//! The buffer pool's LRU eviction against the seed victim model: a
+//! single-shard pool replays an arbitrary page trace with exactly the hits,
+//! faults, evictions and final resident set of a reference recency list.
 
 mod common;
 
-use common::restricted_instance;
+use common::disk_with_pages;
 use proptest::prelude::*;
-use rnn_core::{naive, run_rknn, Algorithm, Precomputed};
-use rnn_graph::{EdgeId, NodeId, Weight};
-use rnn_storage::page::{PageBuilder, PageEntry};
-use rnn_storage::{
-    BufferPool, BufferPoolConfig, EvictionPolicy, IoCounters, LayoutStrategy, MemoryDisk, PageId,
-    PageStore, PagedGraph,
-};
-
-/// A synthetic disk of `n` one-record pages; page `i`'s record carries node
-/// id `i`, so byte-equality of fetched pages implies identity.
-fn disk_with_pages(n: usize) -> MemoryDisk {
-    let pages = (0..n)
-        .map(|i| {
-            let mut b = PageBuilder::new();
-            b.push_record(
-                NodeId::new(i),
-                &[PageEntry {
-                    neighbor: NodeId::new(0),
-                    edge: EdgeId(0),
-                    weight: Weight::new(1.0),
-                }],
-            )
-            .expect("one record fits a page");
-            b.build()
-        })
-        .collect();
-    MemoryDisk::new(pages)
-}
-
-/// How one batch of a generated trace is driven into the pool.
-#[derive(Copy, Clone, Debug)]
-enum BatchKind {
-    FetchEach,
-    FetchMany,
-    Prefetch,
-}
+use rnn_storage::{BufferPool, IoCounters, PageId};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// (a) Accounting invariants hold for arbitrary traces mixing `fetch`,
-    /// `fetch_many` and `prefetch`, under every policy × shard count, and
-    /// every demand-fetched page comes back byte-identical to the store.
-    #[test]
-    fn trace_replay_keeps_accounting_invariants_under_every_policy(
-        num_pages in 4usize..48,
-        capacity in prop_oneof![Just(0usize), Just(1), Just(3), Just(8), Just(32)],
-        shards in prop_oneof![Just(1usize), Just(2), Just(4)],
-        policy_ix in 0usize..3,
-        trace in proptest::collection::vec(
-            (0u8..3, proptest::collection::vec(0usize..48, 1..12)),
-            1..24,
-        ),
-    ) {
-        let policy = EvictionPolicy::ALL[policy_ix];
-        let pool = BufferPool::with_config(
-            disk_with_pages(num_pages),
-            BufferPoolConfig::new(capacity).with_shards(shards).with_policy(policy),
-            IoCounters::new(),
-        );
-        for (kind, ids) in &trace {
-            let kind = match kind {
-                0 => BatchKind::FetchEach,
-                1 => BatchKind::FetchMany,
-                _ => BatchKind::Prefetch,
-            };
-            let ids: Vec<PageId> =
-                ids.iter().map(|&i| PageId::new(i % num_pages)).collect();
-            match kind {
-                BatchKind::FetchEach => {
-                    for &id in &ids {
-                        let page = pool.fetch(id).expect("page in range");
-                        let expected = pool.store().read_page(id).unwrap();
-                        prop_assert_eq!(
-                            page.as_bytes(),
-                            expected.as_bytes(),
-                            "fetch({:?}) under {:?} must return the store's bytes", id, policy
-                        );
-                    }
-                }
-                BatchKind::FetchMany => {
-                    let pages = pool.fetch_many(&ids).expect("pages in range");
-                    prop_assert_eq!(pages.len(), ids.len());
-                    for (&id, page) in ids.iter().zip(&pages) {
-                        let expected = pool.store().read_page(id).unwrap();
-                        prop_assert_eq!(
-                            page.as_bytes(),
-                            expected.as_bytes(),
-                            "fetch_many({:?}) under {:?} must return the store's bytes", id, policy
-                        );
-                    }
-                }
-                BatchKind::Prefetch => pool.prefetch(&ids),
-            }
-            // The invariants hold at every step, not just at the end.
-            let stats = pool.io_stats();
-            let mut sum_accesses = 0u64;
-            for s in stats.per_shard.iter().chain(std::iter::once(&stats.total)) {
-                prop_assert!(s.evictions <= s.faults, "evictions <= faults: {s:?}");
-                prop_assert!(s.faults <= s.accesses(), "faults <= accesses: {s:?}");
-                prop_assert!(
-                    s.prefetch_useful + s.prefetch_wasted <= s.prefetch_issued,
-                    "useful + wasted <= issued: {s:?}"
-                );
-            }
-            for s in &stats.per_shard {
-                sum_accesses += s.accesses();
-            }
-            prop_assert_eq!(sum_accesses, stats.total.accesses(), "per-shard stats partition the total");
-            prop_assert_eq!(
-                pool.counters().snapshot(),
-                stats.total.as_io_stats(),
-                "pool-side and thread-side demand accounting agree (prefetch stays out of both)"
-            );
-            prop_assert!(pool.resident_pages() <= capacity, "residency bounded by capacity");
-        }
-    }
-
-    /// (a) Query results never depend on the eviction policy, the shard
-    /// count or the prefetcher: every cell reproduces the naive in-memory
-    /// reference.
-    #[test]
-    fn query_results_are_identical_under_every_policy_and_prefetch_setting(
-        inst in restricted_instance(),
-        capacity in prop_oneof![Just(0usize), Just(2), Just(8)],
-        shards in prop_oneof![Just(1usize), Just(4)],
-        prefetch in any::<bool>(),
-        policy_ix in 0usize..3,
-    ) {
-        let policy = EvictionPolicy::ALL[policy_ix];
-        let reference = naive::naive_rknn(&inst.graph, &inst.points, inst.query, inst.k);
-        let paged = PagedGraph::build_with_config(
-            &inst.graph,
-            LayoutStrategy::BfsLocality,
-            BufferPoolConfig::new(capacity).with_shards(shards).with_policy(policy),
-            IoCounters::new(),
-        )
-        .expect("paged graph")
-        .with_prefetch(prefetch);
-        for algo in [Algorithm::Eager, Algorithm::Lazy, Algorithm::LazyExtendedPruning] {
-            let out = run_rknn(algo, &paged, &inst.points, Precomputed::none(), inst.query, inst.k);
-            prop_assert_eq!(
-                &out.points, &reference.points,
-                "{} under {:?}/{} shards/prefetch={}", algo, policy, shards, prefetch
-            );
-        }
-        let total = paged.pool_stats().total;
-        prop_assert!(total.evictions <= total.faults && total.faults <= total.accesses());
-        if !prefetch {
-            prop_assert_eq!(total.prefetch_issued, 0, "prefetch off must issue nothing");
-        }
-    }
-
-    /// (b) A single-shard LRU pool stays bit-compatible with the seed victim
+    /// A single-shard LRU pool stays bit-compatible with the seed victim
     /// model: hits, faults and evictions match an exact reference LRU after
     /// every access, and exactly the model's resident set is in the pool.
     #[test]
@@ -209,48 +58,4 @@ proptest! {
         prop_assert_eq!(after.hits - before.hits, model.len() as u64);
         prop_assert_eq!(after.faults, before.faults);
     }
-}
-
-/// (c) The scan-thrash trace: a hot working set swept between cold scan
-/// bursts. After a short warmup (which promotes the hot set into 2Q's Am),
-/// each burst is longer than the pool, so LRU loses the entire hot set every
-/// round while 2Q keeps it resident — strictly fewer faults.
-#[test]
-fn twoq_beats_lru_on_the_scan_thrash_trace() {
-    let num_pages = 64;
-    let capacity = 16;
-    let hot = 4;
-    let faults_under = |policy: EvictionPolicy| {
-        let pool = BufferPool::with_config(
-            disk_with_pages(num_pages),
-            BufferPoolConfig::new(capacity).with_shards(1).with_policy(policy),
-            IoCounters::new(),
-        );
-        let mut cursor = hot;
-        let mut round = |burst: usize| {
-            for h in 0..hot {
-                pool.fetch(PageId::new(h)).unwrap();
-            }
-            for _ in 0..burst {
-                pool.fetch(PageId::new(cursor)).unwrap();
-                cursor += 1;
-                if cursor >= num_pages {
-                    cursor = hot;
-                }
-            }
-        };
-        for _warmup in 0..3 {
-            round(capacity / 2);
-        }
-        for _thrash in 0..10 {
-            round(capacity + hot + 8);
-        }
-        pool.io_stats().total.faults
-    };
-    let lru = faults_under(EvictionPolicy::Lru);
-    let twoq = faults_under(EvictionPolicy::TwoQ);
-    assert!(
-        twoq < lru,
-        "2Q must keep the hot set resident across the cold scan: {twoq} faults vs LRU's {lru}"
-    );
 }

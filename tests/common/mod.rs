@@ -5,7 +5,11 @@
 #![allow(dead_code)]
 
 use proptest::prelude::*;
-use rnn_graph::{EdgePointSet, EdgePointSetBuilder, Graph, GraphBuilder, NodeId, NodePointSet};
+use rnn_graph::{
+    EdgeId, EdgePointSet, EdgePointSetBuilder, Graph, GraphBuilder, NodeId, NodePointSet, Weight,
+};
+use rnn_storage::page::{PageBuilder, PageEntry};
+use rnn_storage::MemoryDisk;
 
 /// A randomly generated restricted-network instance.
 #[derive(Debug, Clone)]
@@ -106,4 +110,25 @@ pub fn unrestricted_instance() -> impl Strategy<Value = UnrestrictedInstance> {
             UnrestrictedInstance { graph, points, k }
         })
         .prop_filter("needs at least one data point", |inst| inst.points.num_points() > 0)
+}
+
+/// A synthetic disk of `n` one-record pages; page `i`'s record carries node
+/// id `i`, so byte-equality of fetched pages implies identity.
+pub fn disk_with_pages(n: usize) -> MemoryDisk {
+    let pages = (0..n)
+        .map(|i| {
+            let mut b = PageBuilder::new();
+            b.push_record(
+                NodeId::new(i),
+                &[PageEntry {
+                    neighbor: NodeId::new(0),
+                    edge: EdgeId(0),
+                    weight: Weight::new(1.0),
+                }],
+            )
+            .expect("one record fits a page");
+            b.build()
+        })
+        .collect();
+    MemoryDisk::new(pages)
 }

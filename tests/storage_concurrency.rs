@@ -15,10 +15,14 @@
 //! 3. **Bit-compatibility** — a `shards = 1` pool reproduces the seed's
 //!    single-LRU victim order exactly, so every fault count the paper's
 //!    experiments report is unchanged by the refactor.
+//!
+//! Arbitrary `fetch` / `fetch_many` page traces at 1, 2, 4 and 8 shards
+//! additionally keep `evictions <= faults <= accesses` in every shard and
+//! return the store's bytes for every page.
 
 mod common;
 
-use common::restricted_instance;
+use common::{disk_with_pages, restricted_instance};
 use proptest::prelude::*;
 use rnn_core::engine::{QueryEngine, QuerySpec, Workload};
 use rnn_core::materialize::MaterializedKnn;
@@ -26,7 +30,10 @@ use rnn_core::{run_rknn, Algorithm, Precomputed, QueryStats};
 use rnn_datagen::{grid_map, place_points_on_nodes, sample_node_queries, GridConfig};
 use rnn_graph::{Graph, NodeId, NodePointSet, Topology};
 use rnn_index::HubLabelIndex;
-use rnn_storage::{BufferPoolConfig, IoCounters, IoStats, LayoutStrategy, PagedGraph, ShardStats};
+use rnn_storage::{
+    BufferPool, BufferPoolConfig, IoCounters, IoStats, LayoutStrategy, PageId, PageStore,
+    PagedGraph, ShardStats,
+};
 
 /// Builds a mixed workload (every algorithm over every query node) against a
 /// paged backend with the given buffer config and asserts `run_batch`
@@ -167,6 +174,58 @@ proptest! {
         let total = paged.io_stats();
         prop_assert_eq!(total.faults, model_faults);
         prop_assert_eq!(total.evictions, model_evictions);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Arbitrary traces mixing `fetch` and `fetch_many` at every shard
+    /// count keep `evictions <= faults <= accesses` in every shard and in
+    /// the total after every batch, keep the two accounting views equal,
+    /// bound residency by the capacity, and return the store's bytes for
+    /// every page.
+    #[test]
+    fn page_traces_keep_accounting_invariants_at_every_shard_count(
+        num_pages in 4usize..48,
+        capacity in prop_oneof![Just(0usize), Just(1), Just(3), Just(8), Just(32)],
+        shards in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+        trace in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec(0usize..48, 1..12)),
+            1..24,
+        ),
+    ) {
+        let pool = BufferPool::with_config(
+            disk_with_pages(num_pages),
+            BufferPoolConfig::new(capacity).with_shards(shards),
+            IoCounters::new(),
+        );
+        for (batched, ids) in &trace {
+            let ids: Vec<PageId> = ids.iter().map(|&i| PageId::new(i % num_pages)).collect();
+            let pages = if *batched {
+                pool.fetch_many(&ids).expect("pages in range")
+            } else {
+                ids.iter().map(|&id| pool.fetch(id).expect("page in range")).collect()
+            };
+            prop_assert_eq!(pages.len(), ids.len());
+            for (&id, page) in ids.iter().zip(&pages) {
+                let expected = pool.store().read_page(id).unwrap();
+                prop_assert_eq!(
+                    page.as_bytes(),
+                    expected.as_bytes(),
+                    "page {:?} (batched={}) must carry the store's bytes", id, batched
+                );
+            }
+            let stats = pool.io_stats();
+            for s in stats.per_shard.iter().chain(std::iter::once(&stats.total)) {
+                prop_assert!(s.evictions <= s.faults, "evictions <= faults: {:?}", s);
+                prop_assert!(s.faults <= s.accesses(), "faults <= accesses: {:?}", s);
+            }
+            let sum_accesses: u64 = stats.per_shard.iter().map(ShardStats::accesses).sum();
+            prop_assert_eq!(sum_accesses, stats.total.accesses(), "shards partition the total");
+            prop_assert_eq!(pool.counters().snapshot(), stats.total.as_io_stats());
+            prop_assert!(pool.resident_pages() <= capacity, "residency bounded by capacity");
+        }
     }
 }
 
